@@ -25,20 +25,6 @@ from .model import FibrationNumericalType, delta_degree
 
 HALF = (1, 2)
 
-CASE_LABELS = (
-    "case1",
-    "case2",
-    "case3",
-    "case3-tame",
-    "case4",
-    "easy-chi-2",
-    "easy-large-degree",
-    "easy-genus-1",
-    "easy-genus-ge-2",
-    "easy-positive-genus",
-)
-
-
 def section4_label(t: FibrationNumericalType) -> str:
     """Which branch of the genus-zero case analysis the type belongs to.
 
@@ -88,6 +74,40 @@ def form_dominates(exact: QuasiLinearForm, bound: QuasiLinearForm) -> bool:
 
 
 @dataclass(frozen=True)
+class StatementCheck:
+    """The four growth statements evaluated on one form F, reading
+    P_n = max(0, F(n)): P_12, the least n <= 4 with P_n >= 1, the least
+    n <= 8 with P_n >= 2, and whether P_n >= 2 for every n >= 14 (decided
+    exactly).  On an exact form these are the statements themselves; on
+    a lower bound they are sufficient conditions."""
+
+    p12: int
+    first_ge1: int | None
+    first_ge2: int | None
+    tail: bool
+
+    @classmethod
+    def from_form(cls, form: QuasiLinearForm) -> "StatementCheck":
+        return cls(
+            p12=max(0, form.value(12)),
+            first_ge1=form.first_at_least(1, 4),
+            first_ge2=form.first_at_least(2, 8),
+            tail=form.eventually_at_least(14, 2),
+        )
+
+    @property
+    def failed(self) -> tuple[str, ...]:
+        """Names of the statements that do not hold, in order."""
+        holds = (
+            self.p12 >= 2,
+            self.first_ge1 is not None,
+            self.first_ge2 is not None,
+            self.tail,
+        )
+        return tuple(f"stmt{i}" for i, ok in enumerate(holds, start=1) if not ok)
+
+
+@dataclass(frozen=True)
 class CaseReplay:
     """Outcome of replaying the branch analysis on one type."""
 
@@ -105,7 +125,7 @@ def _halves(k: int) -> tuple[tuple[int, int], ...]:
     return tuple(HALF for _ in range(k))
 
 
-def _single_wild_bound(nu: int, failures: list[str], where: str):
+def _single_wild_bound(nu: int):
     if nu == 1:
         return QuasiLinearForm(1, 0, ((1, 3),))
     return QuasiLinearForm(1, 0, ((1, 4),))
@@ -124,7 +144,7 @@ def _case1_bound(t, failures):
     if w.nu == 1 and w.m < 3:
         failures.append("case1: nu = 1 branch needs m >= 3")
         return None
-    return _single_wild_bound(w.nu, failures, "case1")
+    return _single_wild_bound(w.nu)
 
 
 def _case2_bound(t, failures):
@@ -155,7 +175,7 @@ def _case2_bound(t, failures):
         if w.nu == 1 and w.m < 3:
             failures.append("case2: nu = 1 branch needs m >= 3")
             return None
-        return _single_wild_bound(w.nu, failures, "case2")
+        return _single_wild_bound(w.nu)
     if w.a == w.m - 1 - 2 * w.nu:
         # pointwise weaker sibling coefficient, clamped at zero
         weaker = max(0, w.m - 1 - (t.p + 1) * w.nu)
@@ -361,15 +381,7 @@ class ClassCertificate:
     description: str
 
     def statements_pass(self) -> bool:
-        b = self.bound
-        first1 = b.first_at_least(1, 4)
-        first2 = b.first_at_least(2, 8)
-        return (
-            first1 is not None
-            and first2 is not None
-            and b.value(12) >= 2
-            and b.eventually_at_least(14, 2)
-        )
+        return not StatementCheck.from_form(self.bound).failed
 
 
 def class_certificates(chi: int, t: int) -> tuple[ClassCertificate, ...]:

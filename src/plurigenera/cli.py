@@ -83,13 +83,12 @@ def _add_bounds_flags(sub):
     sub.add_argument("--no-quasi-elliptic", action="store_true")
 
 
-def _envelope(command: str, inputs: dict, result, seed: int) -> dict:
+def _envelope(command: str, inputs: dict, result) -> dict:
     return {
         "command": command,
         "inputs": inputs,
         "result": result,
         "tool_version": __version__,
-        "deterministic_seed": seed,
     }
 
 
@@ -128,6 +127,10 @@ def _type_brief(d: dict) -> str:
 
 
 def _flat_rows(command: str, result) -> list[dict]:
+    if "error" in result:
+        return [
+            {k: ";".join(v) if isinstance(v, list) else v for k, v in result.items()}
+        ]
     if command == "compute":
         return [
             {"n": v["n"], "value": v["value"], "exact": v["exact"]}
@@ -172,7 +175,7 @@ def _flat_rows(command: str, result) -> list[dict]:
 
 
 def _emit(args, command: str, inputs: dict, result) -> None:
-    envelope = _envelope(command, inputs, result, args.seed)
+    envelope = _envelope(command, inputs, result)
     if args.format == "json":
         print(json.dumps(envelope, sort_keys=True, indent=2))
     elif args.format == "csv":
@@ -189,7 +192,6 @@ def run(argv=None) -> int:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "table"), default="json")
-    common.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser(

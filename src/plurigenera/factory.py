@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .errors import InvalidInputError
-from .model import FibrationNumericalType, FibreDatum
+from .model import FibrationNumericalType, FibreDatum, factorization
 
 
 @dataclass(frozen=True)
@@ -87,18 +87,9 @@ def bad_characteristics(data: AbelianGroupData) -> tuple[int, ...]:
     """Advisory: primes dividing some local monodromy order.  The cover
     construction is only guaranteed to behave away from these; the
     emitted type still carries characteristic zero."""
-    primes: set[int] = set()
-    for g in data.monodromies:
-        m = data.element_order(g)
-        d = 2
-        while d * d <= m:
-            if m % d == 0:
-                primes.add(d)
-                while m % d == 0:
-                    m //= d
-            d += 1
-        if m > 1:
-            primes.add(m)
+    primes = {
+        q for g in data.monodromies for q, _ in factorization(data.element_order(g))
+    }
     return tuple(sorted(primes))
 
 

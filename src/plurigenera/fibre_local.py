@@ -167,17 +167,24 @@ def achievable_torsion_lengths(nu: int, e: int, p: int) -> frozenset[int]:
     if not is_prime(p) or nu < 1 or e < 0:
         raise InvalidInputError(f"bad wild data nu={nu}, e={e}, p={p}")
     m = nu * p**e
-    seen: dict[tuple[int, int], frozenset[int]] = {}
-
-    def counts(next_jump: int, order: int) -> frozenset[int]:
-        if next_jump > m:
-            return frozenset({0})
-        key = (next_jump, order)
-        if key not in seen:
-            out: set[int] = set()
-            for grown in (order, p * order):
-                out.update(1 + c for c in counts(next_jump + grown, grown))
-            seen[key] = frozenset(out)
-        return seen[key]
-
-    return counts(nu + 1, nu)
+    # reach[(j, o)]: bit c is set when a walk from next jump j with order
+    # o makes c more jumps; a next jump past m ends the walk (bit 0).
+    # States are settled children first from an explicit stack, since a
+    # walk can be m steps deep.
+    start = (nu + 1, nu)
+    reach: dict[tuple[int, int], int] = {}
+    stack = [start] if start[0] <= m else []
+    while stack:
+        j, o = stack[-1]
+        children = [(j + grown, grown) for grown in (o, p * o)]
+        pending = [c for c in children if c[0] <= m and c not in reach]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        bits = 0
+        for child in children:
+            bits |= reach[child] if child[0] <= m else 1
+        reach[(j, o)] = bits << 1
+    bits = reach.get(start, 1)
+    return frozenset(c for c in range(bits.bit_length()) if bits >> c & 1)

@@ -28,21 +28,34 @@ which reports named violations instead of raising.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InvalidInputError, UnsupportedInputError
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+@lru_cache(maxsize=None)
+def factorization(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of n as ascending (prime, exponent) pairs, by
+    trial division; empty for n < 2."""
+    out = []
     d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
         d += 1
-    return True
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+def is_prime(n: int) -> bool:
+    return factorization(n) == ((n, 1),)
 
 
 def validate_characteristic(p: int) -> int:
@@ -148,10 +161,11 @@ class FibrationNumericalType:
             raise InvalidInputError("quasi_elliptic must be a boolean")
         if not isinstance(self.existence_unknown, bool):
             raise InvalidInputError("existence_unknown must be a boolean")
-        fibres = tuple(sorted(self.fibres, key=lambda f: f.sort_key))
+        fibres = tuple(self.fibres)
         for f in fibres:
             if not isinstance(f, FibreDatum):
                 raise InvalidInputError(f"fibres must contain FibreDatum, got {f!r}")
+        fibres = tuple(sorted(fibres, key=lambda f: f.sort_key))
         object.__setattr__(self, "fibres", fibres)
 
     @property
@@ -194,9 +208,6 @@ class FibrationNumericalType:
             quasi_elliptic=quasi_elliptic,
             fibres=tuple(FibreDatum.tame(m) for m in multiplicities),
         )
-
-    def with_characteristic(self, p: int) -> "FibrationNumericalType":
-        return replace(self, p=p)
 
     def to_dict(self) -> dict:
         return {

@@ -18,6 +18,15 @@ checks are decided exactly - while the finitely many remaining shapes
 are materialized and checked one by one.  ``materialize_all=True``
 enumerates every admissible type in bounds instead; it is exact but only
 practical for small bounds.
+
+Both modes generate candidates through one loop, ``_cell_types``: each
+wild combination of a cell with its tame companions, drawn from the
+condition-U walk when chi = 0 and from all multisets otherwise.  The
+material mode lets the companions fill every free fibre slot; the
+certified mode caps them at the shapes its certificates leave open.
+Both modes stop with ``UnsupportedInputError`` when a cell would test
+more than ``MATERIAL_GUARD`` candidates.  ``_map_cells`` runs the cells
+serially or in a process pool, for the sweep and for the enumeration.
 """
 
 from __future__ import annotations
@@ -29,12 +38,13 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from .cases import (
+    StatementCheck,
     class_certificates,
     exact_form,
     replay_type,
     section4_label,
 )
-from .congruence import check_all_U, lcm_all
+from .congruence import QuasiLinearForm, check_all_U, lcm_all
 from .errors import (
     InadmissibleTypeError,
     InvalidInputError,
@@ -47,6 +57,7 @@ from .fibre_local import (
 from .model import (
     FibrationNumericalType,
     FibreDatum,
+    factorization,
     is_prime,
     plurigenus,
     slope,
@@ -163,32 +174,19 @@ def verify_main_theorem(t: FibrationNumericalType) -> MainTheoremReport:
     upto = 14 + 2 * period if period <= 120 else 40
     series = tuple(plurigenus(t, n).value for n in range(upto + 1))
     exact = t.g == 0
-    if exact:
-        form = exact_form(t)
-        p12 = max(0, form.value(12))
-        stmt2 = form.first_at_least(1, 4)
-        stmt3 = form.first_at_least(2, 8)
-        stmt4 = form.eventually_at_least(14, 2)
-    else:
-        form = _genus_bound_form(t)
-        p12 = max(0, form.value(12))
-        stmt2 = form.first_at_least(1, 4)
-        stmt3 = form.first_at_least(2, 8)
-        stmt4 = form.eventually_at_least(14, 2)
+    check = StatementCheck.from_form(exact_form(t) if exact else _genus_bound_form(t))
     return MainTheoremReport(
-        p12=p12,
-        stmt1=p12 >= 2,
-        stmt2_witness=stmt2,
-        stmt3_witness=stmt3,
-        stmt4=stmt4,
+        p12=check.p12,
+        stmt1=check.p12 >= 2,
+        stmt2_witness=check.first_ge1,
+        stmt3_witness=check.first_ge2,
+        stmt4=check.tail,
         exact=exact,
         series=series,
     )
 
 
-def _genus_bound_form(t: FibrationNumericalType):
-    from .congruence import QuasiLinearForm
-
+def _genus_bound_form(t: FibrationNumericalType) -> QuasiLinearForm:
     ct = t.chi + t.torsion_length
     if ct >= 1:
         return QuasiLinearForm(t.g - 1, 1, ())
@@ -238,23 +236,6 @@ class EnumerationBounds:
             "include_wild": self.include_wild,
             "include_quasi_elliptic": self.include_quasi_elliptic,
         }
-
-
-@lru_cache(maxsize=None)
-def _factorization(n: int) -> tuple[tuple[int, int], ...]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -314,13 +295,13 @@ def _covered_companions(max_mult: int, max_size: int, wilds: tuple[FibreDatum, .
     """
     wild_vals: dict[int, list[int]] = {}
     for w in wilds:
-        for q, al in _factorization(w.m):
+        for q, al in factorization(w.m):
             wild_vals.setdefault(q, []).append(al)
     wild_cover = {q: max(vals) for q, vals in wild_vals.items()}
     req: dict[int, int] = {}
     for w in wilds:
-        mv = dict(_factorization(w.m))
-        for q, _ in _factorization(w.nu):
+        mv = dict(factorization(w.m))
+        for q, _ in factorization(w.nu):
             v = mv[q]
             others = list(wild_vals[q])
             others.remove(v)
@@ -345,29 +326,31 @@ def _covered_companions(max_mult: int, max_size: int, wilds: tuple[FibreDatum, .
         return False
 
     def walk(v: int, slots: int):
-        if blocked(v):
-            return
-        if v == 1:
+        # Skipping a value leaves the state unchanged, so the values the
+        # walk skips are stepped down in a loop: it recurses once per
+        # placed value (at most max_size deep), not once per value.  The
+        # candidates come out in the order of the one-value-per-step walk.
+        low = v
+        while low > 1 and not blocked(low):
+            low -= 1
+        if low == 1 and not blocked(1):
             yield tuple(sorted(placed))
-            return
-        yield from walk(v - 1, slots)
-        snapshot = {q: top.get(q, (0, 0)) for q, _ in _factorization(v)}
-        placed_here = 0
-        for k in range(1, slots + 1):
-            for q, al in _factorization(v):
-                b, second = top.get(q, (0, 0))
-                if k >= 2 and al >= b:
-                    top[q] = (al, al)
-                elif al > b:
-                    top[q] = (al, b)
-                else:
-                    top[q] = (b, max(second, al))
-            placed.append(v)
-            placed_here += 1
-            yield from walk(v - 1, slots - k)
-        del placed[len(placed) - placed_here :]
-        for q, state in snapshot.items():
-            top[q] = state
+        for u in range(low + 1, v + 1):
+            snapshot = {q: top.get(q, (0, 0)) for q, _ in factorization(u)}
+            for k in range(1, slots + 1):
+                for q, al in factorization(u):
+                    b, second = top.get(q, (0, 0))
+                    if k >= 2 and al >= b:
+                        top[q] = (al, al)
+                    elif al > b:
+                        top[q] = (al, b)
+                    else:
+                        top[q] = (b, max(second, al))
+                placed.append(u)
+                yield from walk(u - 1, slots - k)
+            del placed[len(placed) - slots :]
+            for q, state in snapshot.items():
+                top[q] = state
 
     yield from walk(max_mult, max_size)
 
@@ -403,16 +386,21 @@ def _finalize(t: FibrationNumericalType) -> FibrationNumericalType:
     return t
 
 
-def _cell_types_material(bounds: EnumerationBounds, cell, guard: int | None):
-    """Every admissible type of one cell, canonically sorted."""
+def _cell_types(bounds: EnumerationBounds, cell, max_tame: int, guard: int | None):
+    """The admissible types of one cell that pair a wild combination with
+    at most ``max_tame`` tame fibres, canonically sorted.  Raises when
+    more than ``guard`` candidates would be tested."""
     p, chi, t, quasi = cell
     found = []
     candidates = 0
-    slots_total = bounds.max_fibres
     u_applies = chi == 0 and not quasi
-    for wilds in _wild_combos(p, t, slots_total, bounds.max_mult):
-        slots = slots_total - len(wilds)
-        if u_applies:
+    for wilds in _wild_combos(p, t, bounds.max_fibres, bounds.max_mult):
+        slots = min(max_tame, bounds.max_fibres - len(wilds))
+        if slots == 0:
+            # only the bare combination; is_admissible checks condition U
+            # on it, which is cheaper than a walk with no slots to fill
+            companions = ((),)
+        elif u_applies:
             companions = _covered_companions(bounds.max_mult, slots, wilds)
         else:
             if guard is not None:
@@ -440,6 +428,24 @@ def _cell_types_material(bounds: EnumerationBounds, cell, guard: int | None):
     return found
 
 
+def _cell_types_material(bounds: EnumerationBounds, cell, guard: int | None):
+    """Every admissible type of one cell, canonically sorted."""
+    return _cell_types(bounds, cell, bounds.max_fibres, guard)
+
+
+def _map_cells(work, bounds: EnumerationBounds, jobs: int, *args) -> list:
+    """``work(bounds, cell, *args)`` for every cell, in canonical cell
+    order.  With ``jobs > 1`` the cells run in a pool of spawned worker
+    processes; cells are independent, so the results do not depend on
+    ``jobs``."""
+    tasks = [(bounds, cell, *args) for cell in _cell_order(bounds)]
+    if jobs <= 1 or len(tasks) <= 1:
+        return [work(*task) for task in tasks]
+    context = multiprocessing.get_context("spawn")
+    with context.Pool(processes=min(jobs, len(tasks))) as pool:
+        return pool.starmap(work, tasks)
+
+
 def enumerate_types(bounds: EnumerationBounds, guard: int | None = MATERIAL_GUARD):
     """Every admissible genus-zero type within bounds, exactly once, in
     canonical order.  Raises when a cell would materialize more than
@@ -448,30 +454,13 @@ def enumerate_types(bounds: EnumerationBounds, guard: int | None = MATERIAL_GUAR
         yield from _cell_types_material(bounds, cell, guard)
 
 
-def _enumerate_cell_worker(args):
-    bounds_dict, cell, guard = args
-    types = _cell_types_material(EnumerationBounds(**bounds_dict), cell, guard)
-    return cell, [t.to_dict() for t in types]
-
-
 def enumerate_types_parallel(
     bounds: EnumerationBounds, jobs: int = 1, guard: int | None = MATERIAL_GUARD
 ) -> list[FibrationNumericalType]:
     """Partitioned materialization; the result is identical for any
     ``jobs`` value (cells are independent and reassembled in order)."""
-    cells = _cell_order(bounds)
-    if jobs <= 1 or len(cells) <= 1:
-        return list(enumerate_types(bounds, guard))
-    args = [(bounds.to_dict(), cell, guard) for cell in cells]
-    with multiprocessing.Pool(processes=jobs) as pool:
-        results = pool.map(_enumerate_cell_worker, args)
-    by_cell = dict((tuple(cell), payload) for cell, payload in results)
-    out: list[FibrationNumericalType] = []
-    for cell in cells:
-        out.extend(
-            FibrationNumericalType.from_dict(d) for d in by_cell[tuple(cell)]
-        )
-    return out
+    cells = _map_cells(_cell_types_material, bounds, jobs, guard)
+    return [ty for types in cells for ty in types]
 
 
 # ---------------------------------------------------------------------------
@@ -480,20 +469,8 @@ def enumerate_types_parallel(
 
 def _statement_stats(t: FibrationNumericalType):
     form = exact_form(t)
-    p12 = max(0, form.value(12))
+    check = StatementCheck.from_form(form)
     p13 = max(0, form.value(13))
-    first1 = form.first_at_least(1, 4)
-    first2 = form.first_at_least(2, 8)
-    stmt4 = form.eventually_at_least(14, 2)
-    failed = []
-    if p12 < 2:
-        failed.append("stmt1")
-    if first1 is None:
-        failed.append("stmt2")
-    if first2 is None:
-        failed.append("stmt3")
-    if not stmt4:
-        failed.append("stmt4")
     # exact least witnesses for the extremal statistics
     n = 1
     while max(0, form.value(n)) < 1:
@@ -503,61 +480,30 @@ def _statement_stats(t: FibrationNumericalType):
     while max(0, form.value(n)) < 2:
         n += 1
     exact_first2 = n
-    return p12, p13, exact_first1, exact_first2, failed
+    return check.p12, p13, exact_first1, exact_first2, list(check.failed)
+
+
+# Tame fibres materialized beside each wild combination in a certified
+# cell; the cell's class certificate covers every shape with more.
+_CERTIFIED_TAME_CAP = {(0, 0): 4, (0, 1): 2}
+# The tame cells with chi >= 1 are covered whole by their certificates;
+# these shapes are kept as representatives for reporting ((): chi >= 3).
+_TAME_REPRESENTATIVES = {1: ((2, 3), (2, 2, 2)), 2: ((2,),)}
 
 
 def _materialize_certified(bounds: EnumerationBounds, cell):
     """The finitely many shapes of one cell that the class certificates do
     not cover (plus small representatives for reporting)."""
     p, chi, t, quasi = cell
-    ct = chi + t
-    types = []
-
-    def add_tame(ms):
-        if len(ms) <= bounds.max_fibres and all(m <= bounds.max_mult for m in ms):
-            cand = FibrationNumericalType.tame_type(
-                ms, p=p, chi=chi, quasi_elliptic=quasi
-            )
-            if is_admissible(cand).admissible:
-                types.append(cand)
-
-    def add_wild_only():
-        for wilds in _wild_combos(p, t, bounds.max_fibres, bounds.max_mult):
-            if not wilds:
-                continue
-            cand = FibrationNumericalType(
-                p=p, g=0, chi=chi, quasi_elliptic=quasi, fibres=wilds
-            )
-            if is_admissible(cand).admissible:
-                types.append(_finalize(cand))
-
-    if ct >= 3:
-        if t == 0:
-            add_tame(())
-        else:
-            add_wild_only()
-    elif (chi, t) == (0, 0):
-        for ms in _multisets_upto(bounds.max_mult, min(4, bounds.max_fibres)):
-            add_tame(ms)
-    elif (chi, t) == (0, 1):
-        slots = min(2, bounds.max_fibres - 1)
-        for wilds in _wild_combos(p, t, bounds.max_fibres, bounds.max_mult):
-            for comp in _multisets_upto(bounds.max_mult, slots):
-                fibres = wilds + tuple(FibreDatum.tame(m) for m in comp)
-                cand = FibrationNumericalType(
-                    p=p, g=0, chi=chi, quasi_elliptic=quasi, fibres=fibres
-                )
-                if is_admissible(cand).admissible:
-                    types.append(cand)
-    elif (chi, t) in ((0, 2), (1, 1)):
-        add_wild_only()
-    elif (chi, t) == (1, 0):
-        add_tame((2, 3))
-        add_tame((2, 2, 2))
-    elif (chi, t) == (2, 0):
-        add_tame((2,))
-    types.sort(key=lambda x: x.sort_key)
-    return types
+    if t > 0 or chi == 0:
+        cap = _CERTIFIED_TAME_CAP.get((chi, t), 0)
+        return _cell_types(bounds, cell, cap, MATERIAL_GUARD)
+    reps = (
+        FibrationNumericalType.tame_type(ms, p=p, chi=chi, quasi_elliptic=quasi)
+        for ms in _TAME_REPRESENTATIVES.get(chi, ((),))
+        if len(ms) <= bounds.max_fibres and max(ms, default=0) <= bounds.max_mult
+    )
+    return [ty for ty in reps if is_admissible(ty).admissible]
 
 
 def _sweep_cell(
@@ -635,13 +581,6 @@ def _sweep_cell(
     }
 
 
-def _sweep_worker(args) -> dict:
-    bounds_dict, cell, materialize_all, keep_rows = args
-    return _sweep_cell(
-        EnumerationBounds(**bounds_dict), cell, materialize_all, keep_rows
-    )
-
-
 def verify_all(
     bounds: EnumerationBounds,
     jobs: int = 1,
@@ -649,18 +588,9 @@ def verify_all(
     keep_rows: bool = False,
 ) -> dict:
     """Sweep all cells and aggregate.  The report is identical for any
-    ``jobs`` value: cells are independent work units and the merge is
-    associative and commutative, with a final canonical sort."""
-    cells = _cell_order(bounds)
-    args = [(bounds.to_dict(), cell, materialize_all, keep_rows) for cell in cells]
-    if jobs > 1 and len(cells) > 1:
-        with multiprocessing.Pool(processes=jobs) as pool:
-            results = pool.map(_sweep_worker, args)
-    else:
-        results = [_sweep_worker(a) for a in args]
-    results.sort(key=lambda r: (
-        r["cell"]["p"], r["cell"]["chi"], r["cell"]["t"], r["cell"]["quasi_elliptic"]
-    ))
+    ``jobs`` value: cells are independent work units, merged in canonical
+    cell order."""
+    results = _map_cells(_sweep_cell, bounds, jobs, materialize_all, keep_rows)
 
     labels: dict[str, int] = {}
     counterexamples = []

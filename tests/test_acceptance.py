@@ -3,6 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import hashlib
+import json
 import random
 import time
 from itertools import combinations_with_replacement
@@ -150,6 +152,18 @@ def test_criterion_4_main_theorem_sweep(default_sweep):
               f"{len(rep['certified_classes'])} certified classes); "
               f"max first-nonzero 4, max first->=2 8 (attained by (2,5,10)); "
               f"{rep['_elapsed']:.1f}s")
+
+
+# SHA-256 of the default certified report, serialized with sorted keys
+DEFAULT_REPORT_SHA256 = (
+    "0f5b42b4ff6caa8bb91d5436abb35843c8eb73d62660274c7ed9802c6e0b81b4"
+)
+
+
+def test_default_report_is_pinned(default_sweep):
+    rep = {k: v for k, v in default_sweep.items() if k != "_elapsed"}
+    digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+    assert digest == DEFAULT_REPORT_SHA256
 
 
 def test_criterion_5_sharpness(case4_types):

@@ -204,3 +204,73 @@ class TestEnumerateAndSweep:
         assert code == 0
         header = out.splitlines()[0]
         assert header.startswith("type,label,P_1")
+
+
+# a lone wild fibre with m = 5^5: its torsion-length walk is 3124 jumps deep
+DEEP_WILD = {
+    "p": 5, "g": 0, "chi": 1, "quasi_elliptic": False,
+    "fibres": [{"m": 3125, "a": 3124, "nu": 1, "e": 5, "t": 1}],
+}
+
+
+class TestErrorEnvelopes:
+    SMALL_SWEEP = [
+        "verify-all", "--materialize-all", "--max-mult", "8", "--max-fibres", "3",
+        "--max-chi-plus-t", "1", "--characteristics", "0",
+    ]
+    CASES = {
+        "inadmissible": (
+            ["compute", "--type", "{bad_type}"], 2, "inadmissible", "slope-nonpositive"
+        ),
+        "wild-torsion-length": (
+            ["verify", "--type", "{deep_wild}"], 2, "inadmissible", "wild-torsion-length"
+        ),
+        "malformed": (["compute", "--type", "{malformed}"], 1, "invalid-input", None),
+        "oracle-bound": (
+            ["u-check", "--m", "50,50,50,50,50", "--nu", "50,50,50,50,50",
+             "--i", "1", "--oracle"],
+            1, "invalid-input", "oracle bound",
+        ),
+        "guard": (SMALL_SWEEP, 2, "unsupported-input", "materialization guard"),
+    }
+
+    @pytest.fixture
+    def paths(self, type_file, tmp_path, monkeypatch):
+        import plurigenera.verifier as verifier
+
+        monkeypatch.setattr(verifier, "MATERIAL_GUARD", 10)
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text("{\"p\": 1}", encoding="utf-8")
+        bad = dict(T266, fibres=[{"m": 2, "a": 1, "nu": 2, "e": 0, "t": 0}] * 4)
+        return {
+            "bad_type": type_file(bad, "bad.json"),
+            "deep_wild": type_file(DEEP_WILD, "deep.json"),
+            "malformed": str(malformed),
+        }
+
+    def test_deep_wild_fibre_is_inadmissible(self, capsys, paths):
+        code, env = run_json(capsys, ["verify", "--type", paths["deep_wild"]])
+        assert code == 2
+        assert env["result"]["violations"] == ["wild-torsion-length"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_flat_error_row(self, capsys, paths, case, fmt):
+        argv, expected_code, error, detail = self.CASES[case]
+        argv = [arg.format(**paths) for arg in argv]
+        code = run([*argv, "--format", fmt])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == expected_code
+        header_lines = 1 if fmt == "csv" else 2
+        assert len(lines) == header_lines + 1
+        assert lines[0].startswith("error")
+        assert error in lines[-1]
+        if detail is not None:
+            assert detail in lines[-1]
+
+    def test_no_seed_flag(self, capsys, type_file):
+        with pytest.raises(SystemExit):
+            run(["compute", "--type", type_file(T266), "--seed", "1"])
+        code, env = run_json(capsys, ["compute", "--type", type_file(T266)])
+        assert code == 0
+        assert set(env) == {"command", "inputs", "result", "tool_version"}

@@ -213,6 +213,15 @@ class TestStructure:
         with pytest.raises(InvalidInputError):
             FibrationNumericalType(p=0, g=-1, chi=0, quasi_elliptic=False, fibres=())
 
+    @pytest.mark.parametrize(
+        "fibres", [(1,), (FibreDatum.tame(2), "m=3"), ({"m": 2},)]
+    )
+    def test_non_fibre_entries_rejected(self, fibres):
+        with pytest.raises(InvalidInputError):
+            FibrationNumericalType(
+                p=0, g=0, chi=0, quasi_elliptic=False, fibres=fibres
+            )
+
 
 class TestJson:
     def test_round_trip(self):
