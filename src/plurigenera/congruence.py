@@ -47,13 +47,23 @@ class ConditionUInstance:
         object.__setattr__(self, "nu", tuple(self.nu))
         if len(self.m) != len(self.nu) or not self.m:
             raise InvalidInputError("m and nu must be nonempty lists of equal length")
-        for m_j, nu_j in zip(self.m, self.nu):
-            if m_j < 2:
-                raise InvalidInputError(f"multiplicities must be >= 2, got {m_j}")
-            if nu_j < 1 or m_j % nu_j != 0:
-                raise InvalidInputError(f"need nu | m, got nu={nu_j}, m={m_j}")
+        _check_u_data(self.m, self.nu)
         if not 1 <= self.i <= len(self.m):
             raise InvalidInputError(f"index i out of range: {self.i}")
+
+
+def _check_u_data(m, nu) -> None:
+    for m_j, nu_j in zip(m, nu):
+        if m_j < 2:
+            raise InvalidInputError(f"multiplicities must be >= 2, got {m_j}")
+        if nu_j < 1 or m_j % nu_j != 0:
+            raise InvalidInputError(f"need nu | m, got nu={nu_j}, m={m_j}")
+
+
+def _u_holds(big_m: int, weights: list[int], nu_i: int, i: int) -> bool:
+    """U_i (0-based i) from M = lcm(m_j) and the weights M/m_j."""
+    g = gcd(big_m, nu_i * weights[i], *weights[:i], *weights[i + 1 :])
+    return weights[i] % g == 0
 
 
 def check_condition_U(inst: ConditionUInstance) -> bool:
@@ -64,13 +74,9 @@ def check_condition_U(inst: ConditionUInstance) -> bool:
     nu_i*M/m_i and the M/m_j (j != i); solvability is divisibility of
     M/m_i by the subgroup's generator gcd.
     """
-    i = inst.i - 1
     big_m = lcm(*inst.m)
-    g = gcd(big_m, inst.nu[i] * big_m // inst.m[i])
-    for j, m_j in enumerate(inst.m):
-        if j != i:
-            g = gcd(g, big_m // m_j)
-    return (big_m // inst.m[i]) % g == 0
+    weights = [big_m // m_j for m_j in inst.m]
+    return _u_holds(big_m, weights, inst.nu[inst.i - 1], inst.i - 1)
 
 
 def check_condition_U_bruteforce(
@@ -110,12 +116,14 @@ def check_all_U(fibration) -> bool:
         raise UnsupportedInputError("condition U applies only when g = 0 and chi = 0")
     if fibration.quasi_elliptic:
         raise UnsupportedInputError("condition U is stated for elliptic fibrations")
-    r = fibration.r
-    if r == 0:
+    if fibration.r == 0:
         return True
-    m = tuple(f.m for f in fibration.fibres)
-    nu = tuple(f.nu for f in fibration.fibres)
-    return all(check_condition_U(ConditionUInstance(m, nu, i)) for i in range(1, r + 1))
+    m = [f.m for f in fibration.fibres]
+    nu = [f.nu for f in fibration.fibres]
+    _check_u_data(m, nu)
+    big_m = lcm(*m)
+    weights = [big_m // m_j for m_j in m]
+    return all(_u_holds(big_m, weights, nu[i], i) for i in range(len(m)))
 
 
 def divisibility_closure_r3(m1: int, m2: int, m3: int) -> bool:
@@ -170,32 +178,30 @@ class QuasiLinearForm:
     def period(self) -> int:
         return lcm_all(m for _, m in self.pairs)
 
-    def fractional_loss(self) -> Fraction:
-        """Max total defect of the floors below their linear parts."""
-        loss = Fraction(0)
-        for _, m in self.pairs:
-            loss += Fraction(m - 1, m)
-        return loss
-
     def eventually_at_least(self, threshold: int, target: int) -> bool:
         """Exact decision of ``value(n) >= target for all n >= threshold``.
 
-        Beyond n* = (target - const + loss)/growth the linear envelope
-        const + n*growth - loss already clears the target, so only the
-        finite window [threshold, n*) needs scanning.  Zero growth is
-        periodic (scan one period); negative growth fails eventually.
+        In integers over the period P: value(n + P) = value(n) + rise with
+        rise = P*growth, and value(n) >= const + (n*rise - loss)/P with
+        loss = sum (m-1)*(P/m).  So with rise > 0 the envelope clears the
+        target from n* = ceil(((target - const)*P + loss) / rise) on, and
+        a value below n* is at least its translate one period earlier:
+        only [threshold, min(n*, threshold + P)) needs scanning.  Zero rise
+        is periodic (scan one period); negative rise fails eventually.
         """
-        s = self.growth()
-        if s > 0:
-            cutoff = (Fraction(target - self.const) + self.fractional_loss()) / s
-            n_hi = max(threshold, _ceil_fraction(cutoff))
-            return all(self.value(n) >= target for n in range(threshold, n_hi))
-        if s == 0:
-            window = self.period()
-            return all(
-                self.value(n) >= target for n in range(threshold, threshold + window)
-            )
-        return False
+        period = self.period()
+        rise = self.linear * period
+        loss = 0
+        for a, m in self.pairs:
+            rise += a * (period // m)
+            loss += (m - 1) * (period // m)
+        if rise < 0:
+            return False
+        n_hi = threshold + period
+        if rise > 0:
+            envelope = -((-(target - self.const) * period - loss) // rise)
+            n_hi = min(n_hi, max(threshold, envelope))
+        return all(self.value(n) >= target for n in range(threshold, n_hi))
 
     def first_at_least(self, target: int, n_max: int) -> int | None:
         """Least n in [1, n_max] with max(0, value(n)) >= target."""
@@ -203,7 +209,3 @@ class QuasiLinearForm:
             if max(0, self.value(n)) >= target:
                 return n
         return None
-
-
-def _ceil_fraction(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)

@@ -67,11 +67,13 @@ def validate_characteristic(p: int) -> int:
     return p
 
 
-def _check_int(name: str, value, minimum=None) -> int:
+def _check_int(name: str, value, minimum=None, maximum=None) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise InvalidInputError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise InvalidInputError(f"{name} must be <= {maximum}, got {value}")
     return value
 
 
@@ -313,8 +315,15 @@ def plurigenus(t: FibrationNumericalType, n: int) -> PlurigenusValue:
     return PlurigenusValue(n, generic_lower_bound(t, n), False)
 
 
+# The longest series ``plurigenera_series`` computes (``compute --n-max``):
+# one value per n is kept and printed, so an unbounded n_max is unbounded
+# memory and output.
+MAX_SERIES_N = 10_000
+
+
 def plurigenera_series(t: FibrationNumericalType, n_max: int) -> list[PlurigenusValue]:
-    _check_int("n_max", n_max, 0)
+    """P_0 .. P_n_max; raises ``InvalidInputError`` past ``MAX_SERIES_N``."""
+    _check_int("n_max", n_max, 0, MAX_SERIES_N)
     return [plurigenus(t, n) for n in range(n_max + 1)]
 
 

