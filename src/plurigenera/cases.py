@@ -6,7 +6,9 @@ bound for P_n; ``replay_type`` rebuilds the applicable bound for a
 concrete type, checks the structural side claims the derivation makes
 (divisor-closure shapes, coefficient branches, torsion-order
 divisibilities), and certifies the bound termwise against the exact
-formula, which proves bound(n) <= P_n for every n at once.
+formula, which proves bound(n) <= P_n for every n at once.  Each branch
+is one ``_*_bound`` function that returns its bound or raises the first
+claim the type fails; ``replay_type`` reports that claim.
 
 ``class_certificates`` lists, per (chi, t) cell, the bounds that cover
 whole shape classes regardless of the multiplicity details (e.g. "five
@@ -21,9 +23,10 @@ from fractions import Fraction
 
 from .congruence import QuasiLinearForm
 from .errors import UnsupportedInputError
-from .model import FibrationNumericalType, delta_degree
+from .model import FibrationNumericalType, delta_degree, exact_form
 
 HALF = (1, 2)
+
 
 def section4_label(t: FibrationNumericalType) -> str:
     """Which branch of the genus-zero case analysis the type belongs to.
@@ -49,15 +52,6 @@ def section4_label(t: FibrationNumericalType) -> str:
         (0, 1): "case3",
         (0, 0): "case4",
     }[cell]
-
-
-def exact_form(t: FibrationNumericalType) -> QuasiLinearForm:
-    """P_n = max(0, form.value(n)) for genus-zero types."""
-    if t.g != 0:
-        raise UnsupportedInputError("exact plurigenus form needs g = 0")
-    return QuasiLinearForm(
-        1, delta_degree(t), tuple((f.a, f.m) for f in t.fibres)
-    )
 
 
 def form_dominates(exact: QuasiLinearForm, bound: QuasiLinearForm) -> bool:
@@ -121,6 +115,11 @@ class CaseReplay:
         return self.dominated and not self.claim_failures
 
 
+class _ClaimFailed(Exception):
+    """A structural claim of a branch that the replayed type fails; the
+    message names the branch and the claim."""
+
+
 def _halves(k: int) -> tuple[tuple[int, int], ...]:
     return tuple(HALF for _ in range(k))
 
@@ -131,50 +130,41 @@ def _single_wild_bound(nu: int):
     return QuasiLinearForm(1, 0, ((1, 4),))
 
 
-def _case1_bound(t, failures):
+def _case1_bound(t):
     if any(f.a == f.m - 1 for f in t.fibres):
         return QuasiLinearForm(1, 0, (HALF,))
     if t.r != 1:
-        failures.append("case1: no maximal coefficient forces a single wild fibre")
-        return None
+        raise _ClaimFailed("case1: no maximal coefficient forces a single wild fibre")
     w = t.fibres[0]
     if w.a != w.m - 1 - w.nu or w.a < 1:
-        failures.append("case1: lone wild fibre must have a = m-1-nu > 0")
-        return None
+        raise _ClaimFailed("case1: lone wild fibre must have a = m-1-nu > 0")
     if w.nu == 1 and w.m < 3:
-        failures.append("case1: nu = 1 branch needs m >= 3")
-        return None
+        raise _ClaimFailed("case1: nu = 1 branch needs m >= 3")
     return _single_wild_bound(w.nu)
 
 
-def _case2_bound(t, failures):
+def _case2_bound(t):
     if any(f.a == f.m - 1 for f in t.fibres):
         return QuasiLinearForm(1, 0, (HALF,))
     if any(not f.wild for f in t.fibres):
-        failures.append("case2: tame fibres carry the maximal coefficient")
-        return None
+        raise _ClaimFailed("case2: tame fibres carry the maximal coefficient")
     if t.r == 2:
         if any(f.a != f.m - 1 - f.nu for f in t.fibres):
-            failures.append("case2: two singly-wild fibres must have a = m-1-nu")
-            return None
+            raise _ClaimFailed("case2: two singly-wild fibres must have a = m-1-nu")
         positive = [f for f in t.fibres if f.a > 0]
         if not positive:
-            failures.append("case2: positive slope needs some a > 0")
-            return None
+            raise _ClaimFailed("case2: positive slope needs some a > 0")
         if any(f.nu == 1 and f.m >= 3 for f in positive):
             return QuasiLinearForm(1, 0, ((1, 3),))
         if all(f.nu == 1 for f in positive):
-            failures.append("case2: nu = 1 fibre with a > 0 needs m >= 3")
-            return None
+            raise _ClaimFailed("case2: nu = 1 fibre with a > 0 needs m >= 3")
         return QuasiLinearForm(1, 0, ((1, 4),))
     if t.r != 1:
-        failures.append("case2: all-wild types have one or two fibres")
-        return None
+        raise _ClaimFailed("case2: all-wild types have one or two fibres")
     w = t.fibres[0]
     if w.a == w.m - 1 - w.nu:
         if w.nu == 1 and w.m < 3:
-            failures.append("case2: nu = 1 branch needs m >= 3")
-            return None
+            raise _ClaimFailed("case2: nu = 1 branch needs m >= 3")
         return _single_wild_bound(w.nu)
     if w.a == w.m - 1 - 2 * w.nu:
         # pointwise weaker sibling coefficient, clamped at zero
@@ -184,107 +174,88 @@ def _case2_bound(t, failures):
         if w.nu == 1:
             return QuasiLinearForm(1, 0, ((4, 9),))
         return QuasiLinearForm(1, 0, ((1, 8),))
-    failures.append("case2: coefficient outside the torsion-length-2 set")
-    return None
+    raise _ClaimFailed("case2: coefficient outside the torsion-length-2 set")
 
 
-def _case3_bound(t, failures):
+def _case3_bound(t):
     wilds = [f for f in t.fibres if f.wild]
     if len(wilds) != 1:
-        failures.append("case3: exactly one wild fibre")
-        return None
+        raise _ClaimFailed("case3: exactly one wild fibre")
     w = wilds[0]
     tame = [f for f in t.fibres if not f.wild]
     if t.r >= 4 or (t.r == 3 and w.a == w.m - 1):
         return QuasiLinearForm(1, -1, _halves(3))
     if t.r == 3:
         if w.a != w.m - 1 - w.nu:
-            failures.append("case3: r=3 coefficient must be m-1 or m-1-nu")
-            return None
+            raise _ClaimFailed("case3: r=3 coefficient must be m-1 or m-1-nu")
         if w.a == 0 or any(f.m >= 3 for f in tame):
             if w.a == 0 and all(f.m < 3 for f in tame):
-                failures.append("case3: a=0 with both tame multiplicities 2 "
-                                "contradicts positivity")
-                return None
+                raise _ClaimFailed("case3: a=0 with both tame multiplicities 2 "
+                                   "contradicts positivity")
             return QuasiLinearForm(1, -1, ((2, 3), HALF))
         # both tame multiplicities equal 2: condition U forces nu | 2,
         # and a/m = (m-1-nu)/m >= 1/4 (m >= 4 when nu = 2; m = p >= 3 when nu = 1)
         if w.nu > 2:
-            failures.append("case3: (m,2,2) shape needs nu | 2")
-            return None
+            raise _ClaimFailed("case3: (m,2,2) shape needs nu | 2")
         if Fraction(w.a, w.m) < Fraction(1, 4):
-            failures.append("case3: (m,2,2) shape needs a/m >= 1/4")
-            return None
+            raise _ClaimFailed("case3: (m,2,2) shape needs a/m >= 1/4")
         return QuasiLinearForm(1, -1, ((1, 4), HALF, HALF))
     if t.r != 2:
-        failures.append("case3: positivity needs r >= 2")
-        return None
+        raise _ClaimFailed("case3: positivity needs r >= 2")
     m2 = tame[0].m
     if w.a == w.m - 1:
         return QuasiLinearForm(1, -1, ((2, 3), HALF))
     if w.a != w.m - 1 - w.nu or w.a <= 0:
-        failures.append("case3: r=2 coefficient must be m-1 or m-1-nu > 0")
-        return None
+        raise _ClaimFailed("case3: r=2 coefficient must be m-1 or m-1-nu > 0")
     if m2 % w.nu != 0 or w.m % m2 != 0:
-        failures.append("case3: conditions U force nu | m2 and m2 | m1")
-        return None
+        raise _ClaimFailed("case3: conditions U force nu | m2 and m2 | m1")
     pe = w.m // w.nu  # p^{e_1}
     if w.nu == 1:
         if pe == 4 and m2 == 4:
             return QuasiLinearForm(1, -1, (HALF, (3, 4)))
         if t.p >= 5:
             if m2 < 5:
-                failures.append("case3: p >= 5 with nu = 1 forces m2 >= 5")
-                return None
+                raise _ClaimFailed("case3: p >= 5 with nu = 1 forces m2 >= 5")
             return QuasiLinearForm(1, -1, ((3, 5), (4, 5)))
         if t.p == 3:
             if pe < 9 or m2 < 3:
-                failures.append("case3: p = 3 with nu = 1 forces e >= 2, m2 >= 3")
-                return None
+                raise _ClaimFailed("case3: p = 3 with nu = 1 forces e >= 2, m2 >= 3")
             return QuasiLinearForm(1, -1, ((7, 9), (2, 3)))
         if pe < 8:
-            failures.append("case3: p = 2 with nu = 1 forces e >= 3 "
-                            "(or the (4,4) shape)")
-            return None
+            raise _ClaimFailed("case3: p = 2 with nu = 1 forces e >= 3 "
+                               "(or the (4,4) shape)")
         return QuasiLinearForm(1, -1, ((3, 4), HALF))
     if pe >= 4:
         return QuasiLinearForm(1, -1, ((5, 8), HALF))
     if pe == 3:
         if w.nu == 2:
             if m2 != 6:
-                failures.append("case3: p^e = 3, nu = 2 forces m2 = 6")
-                return None
+                raise _ClaimFailed("case3: p^e = 3, nu = 2 forces m2 = 6")
             return QuasiLinearForm(1, -1, (HALF, (5, 6)))
         if m2 < 3:
-            failures.append("case3: p^e = 3, nu >= 3 forces m2 >= 3")
-            return None
+            raise _ClaimFailed("case3: p^e = 3, nu >= 3 forces m2 >= 3")
         return QuasiLinearForm(1, -1, ((5, 9), (2, 3)))
     # pe == 2
     if m2 == w.nu:
         if w.nu < 4:
-            failures.append("case3: p^e = 2 with m2 = nu needs nu >= 4")
-            return None
+            raise _ClaimFailed("case3: p^e = 2 with m2 = nu needs nu >= 4")
         return QuasiLinearForm(1, -1, ((3, 8), (3, 4)))
     if m2 == 2 * w.nu:
         if w.nu < 3:
-            failures.append("case3: p^e = 2 with m2 = 2nu needs nu >= 3")
-            return None
+            raise _ClaimFailed("case3: p^e = 2 with m2 = 2nu needs nu >= 3")
         return QuasiLinearForm(1, -1, ((1, 3), (5, 6)))
-    failures.append("case3: p^e = 2 forces m2 in {nu, 2nu}")
-    return None
+    raise _ClaimFailed("case3: p^e = 2 forces m2 in {nu, 2nu}")
 
 
-def _case3_tame_bound(t, failures):
+def _case3_tame_bound(t):
     if t.r >= 3:
         return QuasiLinearForm(1, -1, _halves(3))
     if t.r == 2:
         if t.fibres[1].m < 3:
-            failures.append("case3-tame: positivity forces the larger "
-                            "multiplicity >= 3")
-            return None
+            raise _ClaimFailed("case3-tame: positivity forces the larger "
+                               "multiplicity >= 3")
         return QuasiLinearForm(1, -1, (HALF, (2, 3)))
-    failures.append("case3-tame: positivity needs r >= 2")
-    return None
+    raise _ClaimFailed("case3-tame: positivity needs r >= 2")
 
 
 _CASE4_FAMILIES = {
@@ -306,43 +277,48 @@ def case4_sharp_family(ms: tuple[int, ...]) -> str | None:
     return None
 
 
-def _case4_bound(t, failures):
+def _case4_bound(t):
     ms = tuple(f.m for f in t.fibres)
     if t.r >= 5:
         return QuasiLinearForm(1, -2, _halves(5))
     if t.r == 4:
         if not all(m >= w for m, w in zip(ms, (2, 2, 3, 3))):
-            failures.append("case4: admissible quadruples dominate (2,2,3,3)")
-            return None
+            raise _ClaimFailed("case4: admissible quadruples dominate (2,2,3,3)")
         return QuasiLinearForm(1, -2, (HALF, HALF, (2, 3), (2, 3)))
     if t.r != 3:
-        failures.append("case4: positivity needs r >= 3")
-        return None
+        raise _ClaimFailed("case4: positivity needs r >= 3")
     if ms[0] >= 4:
         worst, pairs = _CASE4_FAMILIES["m1-ge-4"]
         if not all(m >= w for m, w in zip(ms, worst)):
-            failures.append("case4: m1 >= 4 triples dominate (4,4,4)")
-            return None
+            raise _ClaimFailed("case4: m1 >= 4 triples dominate (4,4,4)")
         return QuasiLinearForm(1, -2, pairs)
     if ms[0] == 3:
         for key in ("3-6-6", "3-4-12"):
             worst, pairs = _CASE4_FAMILIES[key]
             if all(m >= w for m, w in zip(ms, worst)):
                 return QuasiLinearForm(1, -2, pairs)
-        failures.append("case4: m1 = 3 triples dominate (3,6,6) or (3,4,12)")
-        return None
+        raise _ClaimFailed("case4: m1 = 3 triples dominate (3,6,6) or (3,4,12)")
     if case4_sharp_family(ms) is None:
-        failures.append("case4: m1 = 2 triples are (2,b,2b), b >= 5 odd, "
-                        "or (2,2a,2a), a >= 3")
-        return None
+        raise _ClaimFailed("case4: m1 = 2 triples are (2,b,2b), b >= 5 odd, "
+                           "or (2,2a,2a), a >= 3")
     return exact_form(t)
 
 
-def _easy_chi2_bound(t, failures):
+def _easy_chi2_bound(t):
     if t.r < 1:
-        failures.append("easy-chi-2: positivity needs a multiple fibre")
-        return None
+        raise _ClaimFailed("easy-chi-2: positivity needs a multiple fibre")
     return QuasiLinearForm(1, 0, (HALF,))
+
+
+_BRANCHES = {
+    "easy-large-degree": lambda t: QuasiLinearForm(1, delta_degree(t), ()),
+    "easy-chi-2": _easy_chi2_bound,
+    "case1": _case1_bound,
+    "case2": _case2_bound,
+    "case3": _case3_bound,
+    "case3-tame": _case3_tame_bound,
+    "case4": _case4_bound,
+}
 
 
 def replay_type(t: FibrationNumericalType) -> CaseReplay:
@@ -351,23 +327,11 @@ def replay_type(t: FibrationNumericalType) -> CaseReplay:
     if t.g != 0:
         raise UnsupportedInputError("the case replay covers genus-zero types")
     label = section4_label(t)
-    failures: list[str] = []
-    if label == "easy-large-degree":
-        bound = QuasiLinearForm(1, delta_degree(t), ())
-    elif label == "easy-chi-2":
-        bound = _easy_chi2_bound(t, failures)
-    elif label == "case1":
-        bound = _case1_bound(t, failures)
-    elif label == "case2":
-        bound = _case2_bound(t, failures)
-    elif label == "case3":
-        bound = _case3_bound(t, failures)
-    elif label == "case3-tame":
-        bound = _case3_tame_bound(t, failures)
-    else:
-        bound = _case4_bound(t, failures)
-    dominated = bound is not None and form_dominates(exact_form(t), bound)
-    return CaseReplay(label, bound, dominated, tuple(failures))
+    try:
+        bound = _BRANCHES[label](t)
+    except _ClaimFailed as failed:
+        return CaseReplay(label, None, False, (str(failed),))
+    return CaseReplay(label, bound, form_dominates(exact_form(t), bound), ())
 
 
 @dataclass(frozen=True)
@@ -384,6 +348,65 @@ class ClassCertificate:
         return not StatementCheck.from_form(self.bound).failed
 
 
+# The certificates of the genus-zero cells with chi + t <= 2, by (chi, t).
+_CLASS_CERTIFICATES = {
+    (0, 0): (
+        ClassCertificate(
+            "case4-r-ge-5",
+            "case4",
+            QuasiLinearForm(1, -2, _halves(5)),
+            "five or more tame fibres",
+        ),
+    ),
+    (0, 1): (
+        ClassCertificate(
+            "case3-r-ge-4",
+            "case3",
+            QuasiLinearForm(1, -1, _halves(3)),
+            "four or more fibres (three tame floors suffice)",
+        ),
+    ),
+    (0, 2): (
+        ClassCertificate(
+            "case2-max-coefficient",
+            "case2",
+            QuasiLinearForm(1, 0, (HALF,)),
+            "some fibre has a = m-1 (any tame companion qualifies)",
+        ),
+    ),
+    (1, 1): (
+        ClassCertificate(
+            "case1-max-coefficient",
+            "case1",
+            QuasiLinearForm(1, 0, (HALF,)),
+            "some fibre has a = m-1 (any tame companion qualifies)",
+        ),
+    ),
+    (1, 0): (
+        ClassCertificate(
+            "case3-tame-r-2",
+            "case3-tame",
+            QuasiLinearForm(1, -1, (HALF, (2, 3))),
+            "two tame fibres; positivity forces multiplicities >= (2,3)",
+        ),
+        ClassCertificate(
+            "case3-tame-r-ge-3",
+            "case3-tame",
+            QuasiLinearForm(1, -1, _halves(3)),
+            "three or more tame fibres",
+        ),
+    ),
+    (2, 0): (
+        ClassCertificate(
+            "easy-chi-2",
+            "easy-chi-2",
+            QuasiLinearForm(1, 0, (HALF,)),
+            "degree-zero base term with at least one tame fibre",
+        ),
+    ),
+}
+
+
 def class_certificates(chi: int, t: int) -> tuple[ClassCertificate, ...]:
     """Certificates covering the non-materialized shapes of a genus-zero
     cell.  Cells are keyed by (chi, t); chi + t <= 2 cells carry the
@@ -397,65 +420,4 @@ def class_certificates(chi: int, t: int) -> tuple[ClassCertificate, ...]:
                 "base degree d >= 1 gives P_n >= n*d + 1",
             ),
         )
-    cell = (chi, t)
-    if cell == (0, 0):
-        return (
-            ClassCertificate(
-                "case4-r-ge-5",
-                "case4",
-                QuasiLinearForm(1, -2, _halves(5)),
-                "five or more tame fibres",
-            ),
-        )
-    if cell == (0, 1):
-        return (
-            ClassCertificate(
-                "case3-r-ge-4",
-                "case3",
-                QuasiLinearForm(1, -1, _halves(3)),
-                "four or more fibres (three tame floors suffice)",
-            ),
-        )
-    if cell == (0, 2):
-        return (
-            ClassCertificate(
-                "case2-max-coefficient",
-                "case2",
-                QuasiLinearForm(1, 0, (HALF,)),
-                "some fibre has a = m-1 (any tame companion qualifies)",
-            ),
-        )
-    if cell == (1, 1):
-        return (
-            ClassCertificate(
-                "case1-max-coefficient",
-                "case1",
-                QuasiLinearForm(1, 0, (HALF,)),
-                "some fibre has a = m-1 (any tame companion qualifies)",
-            ),
-        )
-    if cell == (1, 0):
-        return (
-            ClassCertificate(
-                "case3-tame-r-2",
-                "case3-tame",
-                QuasiLinearForm(1, -1, (HALF, (2, 3))),
-                "two tame fibres; positivity forces multiplicities >= (2,3)",
-            ),
-            ClassCertificate(
-                "case3-tame-r-ge-3",
-                "case3-tame",
-                QuasiLinearForm(1, -1, _halves(3)),
-                "three or more tame fibres",
-            ),
-        )
-    if cell == (2, 0):
-        return (
-            ClassCertificate(
-                "easy-chi-2",
-                "easy-chi-2",
-                QuasiLinearForm(1, 0, (HALF,)),
-                "degree-zero base term with at least one tame fibre",
-            ),
-        )
-    return ()
+    return _CLASS_CERTIFICATES.get((chi, t), ())

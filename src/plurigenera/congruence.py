@@ -147,13 +147,6 @@ def floor_sum(n: int, pairs) -> int:
     return total
 
 
-def lcm_all(values, default: int = 1) -> int:
-    out = default
-    for v in values:
-        out = lcm(out, v)
-    return out
-
-
 @dataclass(frozen=True)
 class QuasiLinearForm:
     """const + linear*n + sum floor(n*a/m): the shape of every exact
@@ -176,7 +169,7 @@ class QuasiLinearForm:
         return g
 
     def period(self) -> int:
-        return lcm_all(m for _, m in self.pairs)
+        return lcm(*(m for _, m in self.pairs))
 
     def eventually_at_least(self, threshold: int, target: int) -> bool:
         """Exact decision of ``value(n) >= target for all n >= threshold``.

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvalidInputError
-from .model import is_prime
+from .model import FIBRE_RULE_CACHE_SIZE, is_prime
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ def enumerate_jump_profiles(m: int, nu: int, p: int) -> list[JumpProfile]:
     return profiles
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FIBRE_RULE_CACHE_SIZE)
 def achievable_torsion_lengths(nu: int, e: int, p: int) -> frozenset[int]:
     """Torsion lengths t realizable by some jump profile on m = nu*p^e.
 

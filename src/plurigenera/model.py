@@ -32,10 +32,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .congruence import QuasiLinearForm
 from .errors import InvalidInputError, UnsupportedInputError
 
+# Bound of every cache keyed on caller input (the per-fibre rule cache,
+# factorizations, torsion lengths, wild fibre menus).  The default sweep
+# meets a few hundred keys per cache; a longer stream of arbitrary inputs
+# evicts the least recently used entries.
+FIBRE_RULE_CACHE_SIZE = 4096
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=FIBRE_RULE_CACHE_SIZE)
 def factorization(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n as ascending (prime, exponent) pairs, by
     trial division; empty for n < 2."""
@@ -295,13 +302,41 @@ def geometric_genus(t: FibrationNumericalType) -> int:
     return max(0, delta_degree(t) + 1)
 
 
-def _floor_part(t: FibrationNumericalType, n: int) -> int:
-    return sum((n * f.a) // f.m for f in t.fibres)
+def _plurigenus_terms(t: FibrationNumericalType):
+    """(const, linear, fibres) with P_n >= const + linear*n + sum over the
+    fibres of floor(n*a/m) for n >= 1, one branch of the analysis each:
+
+    - g = 0                  ->  1 + n*d + sum floor(n*a_i/m_i)  (exact)
+    - g >= 1, chi + t >= 1   ->  g + n - 1
+    - g >= 2, chi = t = 0    ->  (2n - 1)(g - 1)
+    - g = 1,  chi = t = 0    ->  sum floor(n*a_i/m_i)
+    """
+    if t.g == 0:
+        return 1, t.chi + t.torsion_length - 2, t.fibres
+    if t.chi + t.torsion_length >= 1:
+        return t.g - 1, 1, ()
+    if t.g >= 2:
+        return 1 - t.g, 2 * (t.g - 1), ()
+    return 0, 0, t.fibres
 
 
-def linear_part(t: FibrationNumericalType, n: int) -> int:
-    """L(n) = 1 + n*d + sum floor(n*a_i/m_i); P_n = max(0, L(n)) for g=0."""
-    return 1 + n * delta_degree(t) + _floor_part(t, n)
+def _terms_value(t: FibrationNumericalType, n: int) -> int:
+    const, linear, fibres = _plurigenus_terms(t)
+    return const + linear * n + sum((n * f.a) // f.m for f in fibres)
+
+
+def plurigenus_form(t: FibrationNumericalType) -> QuasiLinearForm:
+    """The form F with P_n = max(0, F(n)) for g = 0, and P_n >= F(n) for
+    g >= 1 (n >= 1)."""
+    const, linear, fibres = _plurigenus_terms(t)
+    return QuasiLinearForm(const, linear, tuple((f.a, f.m) for f in fibres))
+
+
+def exact_form(t: FibrationNumericalType) -> QuasiLinearForm:
+    """P_n = max(0, form.value(n)) for genus-zero types."""
+    if t.g != 0:
+        raise UnsupportedInputError("exact plurigenus form needs g = 0")
+    return plurigenus_form(t)
 
 
 def plurigenus(t: FibrationNumericalType, n: int) -> PlurigenusValue:
@@ -310,9 +345,7 @@ def plurigenus(t: FibrationNumericalType, n: int) -> PlurigenusValue:
     _check_int("n", n, 0)
     if n == 0:
         return PlurigenusValue(0, 1, True)
-    if t.g == 0:
-        return PlurigenusValue(n, max(0, linear_part(t, n)), True)
-    return PlurigenusValue(n, generic_lower_bound(t, n), False)
+    return PlurigenusValue(n, max(0, _terms_value(t, n)), t.g == 0)
 
 
 # The longest series ``plurigenera_series`` computes (``compute --n-max``):
@@ -344,16 +377,10 @@ def generic_lower_bound(t: FibrationNumericalType, n: int) -> int:
     if n == 0:
         return 1
     ct = t.chi + t.torsion_length
-    if t.g >= 1:
-        if ct >= 1:
-            return t.g + n - 1
-        if t.g >= 2:
-            return (2 * n - 1) * (t.g - 1)
-        return _floor_part(t, n)
+    if t.g >= 1 or (ct == 2 and t.torsion_length == 0):
+        return _terms_value(t, n)
     if ct >= 3:
         return n + 1
-    if ct == 2 and t.torsion_length == 0:
-        return 1 + _floor_part(t, n)
     if ct == 2:
         raise UnsupportedInputError(
             "no generic branch bound for g=0, chi+t=2 with wild fibres; "

@@ -44,7 +44,7 @@ from .cases import (
     replay_type,
     section4_label,
 )
-from .congruence import QuasiLinearForm, check_all_U, lcm_all
+from .congruence import check_all_U
 from .errors import (
     InadmissibleTypeError,
     InvalidInputError,
@@ -55,12 +55,15 @@ from .fibre_local import (
     admissible_coefficients,
 )
 from .model import (
+    FIBRE_RULE_CACHE_SIZE,
     FibrationNumericalType,
     FibreDatum,
+    _check_int,
     factorization,
-    is_prime,
     plurigenus,
+    plurigenus_form,
     slope,  # noqa: F401 - perfbench's tracer wraps verifier.slope
+    validate_characteristic,
 )
 
 MATERIAL_GUARD = 5_000_000
@@ -86,12 +89,6 @@ def _h1_at_most_one(t: FibrationNumericalType, tl: int) -> bool:
         return False
     h = tl if t.chi + tl >= 1 else 1
     return h <= 1
-
-
-# Bound of the per-fibre rule cache: distinct (fibre, p, h1 flag) keys.
-# The default sweep meets a few hundred; a longer stream of arbitrary
-# inputs evicts the least recently used entries.
-FIBRE_RULE_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=FIBRE_RULE_CACHE_SIZE)
@@ -191,11 +188,11 @@ def verify_main_theorem(t: FibrationNumericalType) -> MainTheoremReport:
     lcm is small enough to print (<= 120), and P_0 .. P_40 otherwise;
     statement (4) is always decided exactly either way."""
     _require_admissible(t)
-    period = lcm_all((f.m for f in t.fibres), 1)
+    period = lcm(*(f.m for f in t.fibres))
     upto = 14 + 2 * period if period <= 120 else 40
     series = tuple(plurigenus(t, n).value for n in range(upto + 1))
     exact = t.g == 0
-    check = StatementCheck.from_form(exact_form(t) if exact else _genus_bound_form(t))
+    check = StatementCheck.from_form(plurigenus_form(t))
     return MainTheoremReport(
         p12=check.p12,
         stmt1=check.p12 >= 2,
@@ -205,15 +202,6 @@ def verify_main_theorem(t: FibrationNumericalType) -> MainTheoremReport:
         exact=exact,
         series=series,
     )
-
-
-def _genus_bound_form(t: FibrationNumericalType) -> QuasiLinearForm:
-    ct = t.chi + t.torsion_length
-    if ct >= 1:
-        return QuasiLinearForm(t.g - 1, 1, ())
-    if t.g >= 2:
-        return QuasiLinearForm(-(t.g - 1), 2 * (t.g - 1), ())
-    return QuasiLinearForm(0, 0, tuple((f.a, f.m) for f in t.fibres))
 
 
 def verify_tail(t: FibrationNumericalType, threshold: int, target: int) -> bool:
@@ -240,13 +228,11 @@ class EnumerationBounds:
     include_quasi_elliptic: bool = True
 
     def __post_init__(self):
-        if self.max_mult < 2 or self.max_fibres < 1 or self.max_chi_plus_t < 0:
-            raise InvalidInputError("enumeration bounds must be positive")
-        ps = tuple(sorted(set(self.characteristics)))
-        for p in ps:
-            if p != 0 and not is_prime(p):
-                raise InvalidInputError(f"bad characteristic {p}")
-        object.__setattr__(self, "characteristics", ps)
+        _check_int("max_mult", self.max_mult, 2)
+        _check_int("max_fibres", self.max_fibres, 1)
+        _check_int("max_chi_plus_t", self.max_chi_plus_t, 0)
+        ps = sorted({validate_characteristic(p) for p in self.characteristics})
+        object.__setattr__(self, "characteristics", tuple(ps))
 
     def to_dict(self) -> dict:
         return {
@@ -259,7 +245,7 @@ class EnumerationBounds:
         }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FIBRE_RULE_CACHE_SIZE)
 def _wild_data(p: int, t_j: int, max_mult: int) -> tuple[FibreDatum, ...]:
     """All wild fibre records with torsion length t_j and m <= max_mult."""
     out = []
@@ -531,6 +517,16 @@ def _materialize_certified(bounds: EnumerationBounds, cell):
     return [ty for ty in reps if is_admissible(ty).admissible]
 
 
+def _raise_max(best: tuple[int, list], value: int, attainers) -> tuple[int, list]:
+    """The running (maximum, attainers) after ``attainers`` reach ``value``."""
+    top, found = best
+    if value > top:
+        return value, list(attainers)
+    if value == top:
+        found.extend(attainers)
+    return best
+
+
 def _sweep_cell(
     bounds: EnumerationBounds, cell, materialize_all: bool, keep_rows: bool = False
 ) -> dict:
@@ -542,8 +538,7 @@ def _sweep_cell(
     labels: dict[str, int] = {}
     counterexamples = []
     replay_failures = []
-    first1_max, first1_attainers = 0, []
-    first2_max, first2_attainers = 0, []
+    first1, first2 = (0, []), (0, [])
     p13_low = []
     for ty in types:
         label = section4_label(ty)
@@ -556,14 +551,8 @@ def _sweep_cell(
             replay_failures.append(
                 {"type": ty.to_dict(), "claims": list(rep.claim_failures)}
             )
-        if f1 > first1_max:
-            first1_max, first1_attainers = f1, [ty.to_dict()]
-        elif f1 == first1_max:
-            first1_attainers.append(ty.to_dict())
-        if f2 > first2_max:
-            first2_max, first2_attainers = f2, [ty.to_dict()]
-        elif f2 == first2_max:
-            first2_attainers.append(ty.to_dict())
+        first1 = _raise_max(first1, f1, (ty,))
+        first2 = _raise_max(first2, f2, (ty,))
         if p13 <= 1:
             p13_low.append(ty.to_dict())
     certified = []
@@ -598,8 +587,8 @@ def _sweep_cell(
         "labels": labels,
         "counterexamples": counterexamples,
         "replay_failures": replay_failures,
-        "first1": (first1_max, first1_attainers),
-        "first2": (first2_max, first2_attainers),
+        "first1": (first1[0], [ty.to_dict() for ty in first1[1]]),
+        "first2": (first2[0], [ty.to_dict() for ty in first2[1]]),
         "p13_le_1": p13_low,
         "certified": certified,
         "rows": rows,
@@ -624,8 +613,7 @@ def verify_all(
     p13_low = []
     rows = []
     total = 0
-    first1_max, first1_attainers = 0, []
-    first2_max, first2_attainers = 0, []
+    first1, first2 = (0, []), (0, [])
     for res in results:
         total += res["materialized"]
         for k, v in res["labels"].items():
@@ -636,16 +624,10 @@ def verify_all(
         p13_low.extend(res["p13_le_1"])
         if keep_rows:
             rows.extend(res["rows"])
-        f1, att1 = res["first1"]
-        if f1 > first1_max:
-            first1_max, first1_attainers = f1, list(att1)
-        elif f1 == first1_max:
-            first1_attainers.extend(att1)
-        f2, att2 = res["first2"]
-        if f2 > first2_max:
-            first2_max, first2_attainers = f2, list(att2)
-        elif f2 == first2_max:
-            first2_attainers.extend(att2)
+        first1 = _raise_max(first1, *res["first1"])
+        first2 = _raise_max(first2, *res["first2"])
+    first1_max, first1_attainers = first1
+    first2_max, first2_attainers = first2
 
     cert_f1 = [c["first_ge1_ceiling"] for c in certified]
     cert_f2 = [c["first_ge2_ceiling"] for c in certified]

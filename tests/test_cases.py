@@ -89,6 +89,27 @@ class TestReplay:
         with pytest.raises(UnsupportedInputError):
             replay_type(tame((), g=1, chi=1))
 
+    @pytest.mark.parametrize(
+        "ms, chi, claim",
+        [
+            ((2, 3, 7), 0,
+             "case4: m1 = 2 triples are (2,b,2b), b >= 5 odd, or (2,2a,2a), a >= 3"),
+            ((2, 3), 0, "case4: positivity needs r >= 3"),
+            ((2, 2, 2, 3), 0, "case4: admissible quadruples dominate (2,2,3,3)"),
+            ((3, 3, 4), 0, "case4: m1 = 3 triples dominate (3,6,6) or (3,4,12)"),
+            ((5,), 1, "case3-tame: positivity needs r >= 2"),
+            ((2, 2), 1, "case3-tame: positivity forces the larger multiplicity >= 3"),
+            ((), 2, "easy-chi-2: positivity needs a multiple fibre"),
+        ],
+    )
+    def test_failed_claim_is_reported(self, ms, chi, claim):
+        # inadmissible types: the branch stops at its first failed claim,
+        # whose message starts with the branch label
+        rep = replay_type(tame(ms, chi=chi))
+        assert rep.label == claim.split(":")[0]
+        assert rep.bound is None and not rep.dominated and not rep.ok
+        assert rep.claim_failures == (claim,)
+
     def test_all_enumerated_types_replay_clean(self):
         count = 0
         for t in enumerate_types(SMALL):

@@ -22,6 +22,9 @@ from plurigenera import (
     verify_main_theorem,
     verify_tail,
 )
+from plurigenera.fibre_local import achievable_torsion_lengths
+from plurigenera.model import FIBRE_RULE_CACHE_SIZE, factorization
+from plurigenera.verifier import _fibre_violations, _wild_data
 
 
 def tame(ms, chi=0, g=0, p=0, quasi=False):
@@ -133,6 +136,22 @@ class TestFibreRuleCache:
             assert is_admissible(t).violations == expected
 
 
+class TestInputCaches:
+    def test_caches_keyed_on_input_stay_bounded(self):
+        # 20,000 wild fibres with distinct nu, and as many distinct
+        # integers to factor: an unbounded cache keeps one entry for each
+        for nu in range(1, 20_001):
+            fibre = FibreDatum.wild_fibre(p=2, nu=nu, e=1, t=1, a=nu - 1)
+            is_admissible(wild_type(1, fibre))
+            factorization(nu)
+        for cache in (
+            factorization, achievable_torsion_lengths, _wild_data, _fibre_violations
+        ):
+            info = cache.cache_info()
+            assert info.maxsize == FIBRE_RULE_CACHE_SIZE
+            assert info.currsize <= FIBRE_RULE_CACHE_SIZE
+
+
 class TestMainTheorem:
     def test_266(self):
         rep = verify_main_theorem(T266)
@@ -163,6 +182,24 @@ class TestMainTheorem:
         assert rep.stmt2_witness == 1
         rep2 = verify_main_theorem(tame((2, 2), g=1))
         assert rep2.stmt1 and rep2.stmt4 and not rep2.exact
+
+
+    @pytest.mark.parametrize(
+        "t, formula",
+        [
+            (tame((), g=1, chi=1), lambda n: 1 + n - 1),  # g + n - 1
+            (tame((), g=2), lambda n: (2 * n - 1) * (2 - 1)),
+            (tame((2, 3), g=3), lambda n: (2 * n - 1) * (3 - 1)),
+            (tame((2, 3), g=1), lambda n: n // 2 + (2 * n) // 3),
+        ],
+    )
+    def test_positive_genus_series_follows_branch_formula(self, t, formula):
+        rep = verify_main_theorem(t)
+        period = lcm(*(f.m for f in t.fibres))
+        assert rep.series == tuple(
+            [1] + [formula(n) for n in range(1, 15 + 2 * period)]
+        )
+        assert rep.p12 == rep.series[12] and not rep.exact
 
 
 class TestTail:
@@ -258,6 +295,13 @@ class TestEnumeration:
         )
         for t in enumerate_types(bounds):
             assert is_admissible(t).admissible
+
+    @pytest.mark.parametrize(
+        "field", [{"max_mult": "30"}, {"characteristics": ("x",)}, {"max_fibres": 2.5}]
+    )
+    def test_bounds_reject_malformed_fields(self, field):
+        with pytest.raises(InvalidInputError):
+            EnumerationBounds(**field)
 
     def test_guard(self):
         bounds = EnumerationBounds(
