@@ -19,7 +19,7 @@ the finitely many shapes outside these classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
 from .congruence import QuasiLinearForm
 from .errors import UnsupportedInputError
@@ -57,14 +57,18 @@ def section4_label(t: FibrationNumericalType) -> str:
 def form_dominates(exact: QuasiLinearForm, bound: QuasiLinearForm) -> bool:
     """Termwise certificate that bound.value(n) <= exact.value(n) for all
     n >= 0: constants and linear parts compare, and the bound's floor
-    ratios embed into the exact ones (largest against largest)."""
+    ratios embed into the exact ones (largest against largest).  The
+    ratios a/m are compared as the integers a*(P/m) over one common
+    period P, the lcm of every m in both forms, which order them the
+    same."""
     if bound.const > exact.const or bound.linear > exact.linear:
         return False
-    exact_ratios = sorted((Fraction(a, m) for a, m in exact.pairs), reverse=True)
-    bound_ratios = sorted((Fraction(a, m) for a, m in bound.pairs), reverse=True)
-    if len(bound_ratios) > len(exact_ratios):
+    if len(bound.pairs) > len(exact.pairs):
         return False
-    return all(b <= e for b, e in zip(bound_ratios, exact_ratios))
+    period = lcm(*(m for _, m in exact.pairs), *(m for _, m in bound.pairs))
+    exact_keys = sorted((a * (period // m) for a, m in exact.pairs), reverse=True)
+    bound_keys = sorted((a * (period // m) for a, m in bound.pairs), reverse=True)
+    return all(b <= e for b, e in zip(bound_keys, exact_keys))
 
 
 @dataclass(frozen=True)
@@ -197,7 +201,7 @@ def _case3_bound(t):
         # and a/m = (m-1-nu)/m >= 1/4 (m >= 4 when nu = 2; m = p >= 3 when nu = 1)
         if w.nu > 2:
             raise _ClaimFailed("case3: (m,2,2) shape needs nu | 2")
-        if Fraction(w.a, w.m) < Fraction(1, 4):
+        if 4 * w.a < w.m:
             raise _ClaimFailed("case3: (m,2,2) shape needs a/m >= 1/4")
         return QuasiLinearForm(1, -1, ((1, 4), HALF, HALF))
     if t.r != 2:

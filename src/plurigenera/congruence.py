@@ -116,11 +116,15 @@ def check_all_U(fibration) -> bool:
         raise UnsupportedInputError("condition U applies only when g = 0 and chi = 0")
     if fibration.quasi_elliptic:
         raise UnsupportedInputError("condition U is stated for elliptic fibrations")
-    if fibration.r == 0:
-        return True
     m = [f.m for f in fibration.fibres]
     nu = [f.nu for f in fibration.fibres]
     _check_u_data(m, nu)
+    return _all_u(m, nu)
+
+
+def _all_u(m, nu) -> bool:
+    """Every U_i for validated data (m_j >= 2, nu_j | m_j); true when
+    there are no fibres."""
     big_m = lcm(*m)
     weights = [big_m // m_j for m_j in m]
     return all(_u_holds(big_m, weights, nu[i], i) for i in range(len(m)))

@@ -14,8 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, UnsupportedInputError
 from .model import FibrationNumericalType, FibreDatum, factorization
+
+# The generation check visits every element of the group, so larger
+# groups are refused before it runs.
+MAX_GROUP_ORDER = 10**5
 
 
 @dataclass(frozen=True)
@@ -37,6 +41,11 @@ class AbelianGroupData:
             monos.append(tuple(x % d for x, d in zip(g, factors)))
         object.__setattr__(self, "invariant_factors", factors)
         object.__setattr__(self, "monodromies", tuple(monos))
+        if self.group_order > MAX_GROUP_ORDER:
+            raise UnsupportedInputError(
+                f"group order {self.group_order} exceeds MAX_GROUP_ORDER "
+                f"= {MAX_GROUP_ORDER}"
+            )
         if any(
             sum(g[k] for g in self.monodromies) % d != 0
             for k, d in enumerate(factors)

@@ -24,6 +24,11 @@ wild combination of a cell with its tame companions, drawn from the
 condition-U walk when chi = 0 and from all multisets otherwise.  The
 material mode lets the companions fill every free fibre slot; the
 certified mode caps them at the shapes its certificates leave open.
+A combination with no free slot is tested bare.  When condition U
+applies to it (chi = 0, elliptic), U is decided once per shape - the
+tuple of (m, nu) pairs, which is all that U reads - on integers, and a
+combination whose shape fails is rejected before any type is built;
+every other candidate goes through ``is_admissible``.
 Both modes stop with ``UnsupportedInputError`` when a cell would test
 more than ``MATERIAL_GUARD`` candidates.  ``_map_cells`` runs the cells
 serially or in a process pool, for the sweep and for the enumeration.
@@ -32,6 +37,7 @@ serially or in a process pool, for the sweep and for the enumeration.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -44,7 +50,7 @@ from .cases import (
     replay_type,
     section4_label,
 )
-from .congruence import check_all_U
+from .congruence import _all_u, check_all_U
 from .errors import (
     InadmissibleTypeError,
     InvalidInputError,
@@ -405,12 +411,21 @@ def _cell_types(bounds: EnumerationBounds, cell, max_tame: int, guard: int | Non
     candidates = 0
     u_applies = chi == 0 and not quasi
     tame = {m: FibreDatum.tame(m) for m in range(2, bounds.max_mult + 1)}
+    u_by_shape: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
     for wilds in _wild_combos(p, t, bounds.max_fibres, bounds.max_mult):
         slots = min(max_tame, bounds.max_fibres - len(wilds))
         if slots == 0:
-            # only the bare combination; is_admissible checks condition U
-            # on it, which is cheaper than a walk with no slots to fill
+            # only the bare combination.  Condition U reads its (m, nu)
+            # pairs alone, so it is decided once per shape, on integers;
+            # a combination whose shape fails is never built, but still
+            # counts toward the guard (as the companion None).
             companions = ((),)
+            if u_applies:
+                shape = (tuple(w.m for w in wilds), tuple(w.nu for w in wilds))
+                if shape not in u_by_shape:
+                    u_by_shape[shape] = _all_u(*shape)
+                if not u_by_shape[shape]:
+                    companions = (None,)
         elif u_applies:
             companions = _covered_companions(bounds.max_mult, slots, wilds)
         else:
@@ -429,6 +444,8 @@ def _cell_types(bounds: EnumerationBounds, cell, max_tame: int, guard: int | Non
                     f"cell {cell} exceeds the materialization guard ({guard}); "
                     "tighten the bounds or use the certified sweep"
                 )
+            if comp is None:
+                continue
             fibres = wilds + tuple(tame[m] for m in comp)
             cand = FibrationNumericalType(
                 p=p, g=0, chi=chi, quasi_elliptic=quasi, fibres=fibres
@@ -447,13 +464,14 @@ def _cell_types_material(bounds: EnumerationBounds, cell, guard: int | None):
 def _map_cells(work, bounds: EnumerationBounds, jobs: int, *args) -> list:
     """``work(bounds, cell, *args)`` for every cell, in canonical cell
     order.  With ``jobs > 1`` the cells run in a pool of spawned worker
-    processes; cells are independent, so the results do not depend on
-    ``jobs``."""
+    processes, at most one per cell and one per CPU; cells are
+    independent, so the results do not depend on ``jobs``."""
     tasks = [(bounds, cell, *args) for cell in _cell_order(bounds)]
-    if jobs <= 1 or len(tasks) <= 1:
+    processes = min(jobs, len(tasks), os.cpu_count() or 1)
+    if processes <= 1:
         return [work(*task) for task in tasks]
     context = multiprocessing.get_context("spawn")
-    with context.Pool(processes=min(jobs, len(tasks))) as pool:
+    with context.Pool(processes=processes) as pool:
         return pool.starmap(work, tasks)
 
 
@@ -482,16 +500,15 @@ def _statement_stats(t: FibrationNumericalType):
     form = exact_form(t)
     check = StatementCheck.from_form(form)
     p13 = max(0, form.value(13))
-    # exact least witnesses for the extremal statistics
-    n = 1
-    while max(0, form.value(n)) < 1:
-        n += 1
-    exact_first1 = n
-    n = 1
-    while max(0, form.value(n)) < 2:
-        n += 1
-    exact_first2 = n
-    return check.p12, p13, exact_first1, exact_first2, list(check.failed)
+    # exact least witnesses for the extremal statistics: the check has
+    # already scanned n <= 4 for P_n >= 1 and n <= 8 for P_n >= 2
+    first1 = check.first_ge1 or 5
+    while max(0, form.value(first1)) < 1:
+        first1 += 1
+    first2 = check.first_ge2 or 9
+    while max(0, form.value(first2)) < 2:
+        first2 += 1
+    return check.p12, p13, first1, first2, list(check.failed)
 
 
 # Tame fibres materialized beside each wild combination in a certified

@@ -1,8 +1,11 @@
 """Case labels, branch-bound replay, and the class certificates."""
 
+from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plurigenera import (
     EnumerationBounds,
@@ -58,6 +61,14 @@ class TestLabels:
         assert case4_sharp_family((3, 6, 6)) is None
 
 
+FORMS = st.builds(
+    QuasiLinearForm,
+    st.integers(-1, 1),
+    st.integers(-1, 1),
+    st.lists(st.tuples(st.integers(0, 24), st.integers(1, 12)), max_size=5),
+)
+
+
 class TestDomination:
     def test_termwise_certificate(self):
         exact = QuasiLinearForm(1, -2, ((1, 2), (5, 6), (5, 6)))
@@ -71,6 +82,28 @@ class TestDomination:
         assert form_dominates(exact, bound)
         for n in range(0, 120):
             assert bound.value(n) <= exact.value(n)
+
+    @settings(max_examples=400)
+    @given(FORMS, FORMS)
+    @example(QuasiLinearForm(1, 0, ()), QuasiLinearForm(1, 0, ()))
+    @example(QuasiLinearForm(1, 0, ((1, 2),)), QuasiLinearForm(1, 0, ()))
+    @example(QuasiLinearForm(1, 0, ()), QuasiLinearForm(1, 0, ((0, 2),)))
+    @example(
+        QuasiLinearForm(1, -2, ((1, 2), (5, 6), (2, 3))),
+        QuasiLinearForm(1, -2, ((3, 4), (1, 2))),
+    )
+    def test_integer_keys_order_like_fractions(self, exact, bound):
+        # the reference sorts the ratios a/m as fractions
+        def ratios(form):
+            return sorted((Fraction(a, m) for a, m in form.pairs), reverse=True)
+
+        expected = (
+            bound.const <= exact.const
+            and bound.linear <= exact.linear
+            and len(bound.pairs) <= len(exact.pairs)
+            and all(b <= e for b, e in zip(ratios(bound), ratios(exact)))
+        )
+        assert form_dominates(exact, bound) is expected
 
 
 class TestReplay:

@@ -146,6 +146,10 @@ class TestClassify:
         assert code == 1  # rejected as invalid invariants
 
 
+# a group of order 9,000,000: past factory.MAX_GROUP_ORDER
+BIG_GROUP = ["factory", "--group", "3000,3000", "--monodromies", "1,0;0,1;-1,-1"]
+
+
 class TestFactory:
     def test_z2_z6(self, capsys):
         code, env = run_json(
@@ -163,6 +167,12 @@ class TestFactory:
         assert code == 0
         assert env["result"]["multiplicities"] == [2, 5, 10]
         assert env["result"]["cover_genus"] == 2
+
+    def test_group_past_the_cap_exit_2(self, capsys):
+        code, env = run_json(capsys, BIG_GROUP)
+        assert code == 2
+        assert env["result"]["error"] == "unsupported-input"
+        assert "MAX_GROUP_ORDER" in env["result"]["message"]
 
 
 class TestEnumerateAndSweep:
@@ -245,6 +255,7 @@ class TestErrorEnvelopes:
             1, "invalid-input", "oracle bound",
         ),
         "guard": (SMALL_SWEEP, 2, "unsupported-input", "materialization guard"),
+        "group-order": (BIG_GROUP, 2, "unsupported-input", "MAX_GROUP_ORDER"),
     }
 
     @pytest.fixture

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from plurigenera import (
     AbelianGroupData,
     InvalidInputError,
+    UnsupportedInputError,
     bad_characteristics,
     cover_to_type,
     is_admissible,
@@ -55,6 +56,18 @@ class TestCoverToType:
     def test_monodromies_must_generate(self):
         with pytest.raises(InvalidInputError):
             AbelianGroupData((10,), ((5,), (5,)))
+
+    def test_group_order_cap(self):
+        # the generation check walks the whole group, so it is refused
+        # past MAX_GROUP_ORDER; a cyclic group at the cap is still walked
+        from plurigenera.factory import MAX_GROUP_ORDER
+
+        with pytest.raises(UnsupportedInputError):
+            AbelianGroupData((3000, 3000), ((1, 0), (0, 1), (-1, -1)))
+        with pytest.raises(UnsupportedInputError):
+            AbelianGroupData((MAX_GROUP_ORDER + 1,), ((1,), (-1,)))
+        data = AbelianGroupData((MAX_GROUP_ORDER,), ((1,), (-1,)))
+        assert data.group_order == MAX_GROUP_ORDER
 
     def test_admissible_when_slope_positive(self):
         for data in (Z2_Z6, Z10):

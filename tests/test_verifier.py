@@ -341,6 +341,50 @@ class TestEnumeration:
                             slow.add(_finalize(cand))
             assert fast == slow, cell
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [EnumerationBounds(8, 3, 4, (2, 3, 5)), EnumerationBounds(12, 4, 4, (2, 3, 5))],
+    )
+    def test_bare_wild_combinations_match_admissibility_filter(
+        self, bounds, monkeypatch
+    ):
+        # with no tame slot, _cell_types decides condition U once per
+        # (m, nu) shape and builds only the combinations that pass, so
+        # is_admissible never sees one that fails it
+        from plurigenera import verifier
+        from plurigenera.verifier import _cell_types, _finalize, _wild_combos
+
+        seen = []
+
+        def recording(ty):
+            rep = is_admissible(ty)
+            seen.extend(rep.violations)
+            return rep
+
+        monkeypatch.setattr(verifier, "is_admissible", recording)
+        rejected_by_u = 0
+        for p in bounds.characteristics:
+            for t in (2, 3, 4):
+                cell = (p, 0, t, False)
+                raw = [
+                    wild_type(0, *wilds, p=p)
+                    for wilds in _wild_combos(p, t, bounds.max_fibres, bounds.max_mult)
+                ]
+                reports = [is_admissible(ty) for ty in raw]
+                expected = sorted(
+                    (_finalize(ty) for ty, rep in zip(raw, reports) if rep.admissible),
+                    key=lambda ty: ty.sort_key,
+                )
+                assert _cell_types(bounds, cell, 0, None) == expected, cell
+                rejected_by_u += sum("condition-U" in rep.violations for rep in reports)
+                # a combination rejected before it is built still counts
+                # toward the guard
+                with pytest.raises(UnsupportedInputError):
+                    _cell_types(bounds, cell, 0, len(raw) - 1)
+                assert _cell_types(bounds, cell, 0, len(raw)) == expected
+        assert rejected_by_u > 0
+        assert seen and "condition-U" not in seen
+
     def test_condition_u_walk_order_is_pinned(self):
         # the brute-filter test above compares sets; this pins the order in
         # which the walk emits its candidates, tame and with a wild fibre
@@ -401,6 +445,76 @@ class TestSweep:
 
     def test_jobs_determinism(self):
         assert verify_all(self.SMALL, jobs=1) == verify_all(self.SMALL, jobs=3)
+
+    @pytest.mark.parametrize(
+        "cpus, max_chi_plus_t, pools",
+        [(2, 40, [2]), (8, 0, [3]), (1, 40, []), (None, 40, [])],
+    )
+    def test_pool_is_bounded_by_cpus_and_cells(
+        self, monkeypatch, cpus, max_chi_plus_t, pools
+    ):
+        # a fake context records the pool size and runs the cells serially
+        import multiprocessing
+
+        from plurigenera import verifier
+
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, work, tasks):
+                return [work(*task) for task in tasks]
+
+        class FakeContext:
+            Pool = FakePool
+
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
+        monkeypatch.setattr(verifier.os, "cpu_count", lambda: cpus)
+        bounds = EnumerationBounds(
+            max_chi_plus_t=max_chi_plus_t, characteristics=(0, 2, 3)
+        )
+        cells = verifier._map_cells(lambda bounds, cell: cell, bounds, 5000)
+        assert cells == verifier._cell_order(bounds)
+        assert sizes == pools
+
+    def test_statement_witnesses_match_a_scan_from_one(self):
+        # _statement_stats resumes its witness scans where StatementCheck's
+        # windows (n <= 4, n <= 8) end; the material sweep's witnesses lie
+        # inside them, so positive-slope types with later witnesses are added
+        from plurigenera.model import exact_form, slope
+        from plurigenera.verifier import _statement_stats
+
+        lone_wild = [
+            wild_type(0, FibreDatum(5, a, 1, 1, 1), FibreDatum.tame(m), p=5)
+            for a in range(5)
+            for m in range(2, 13)
+        ]
+        triples = [tame(ms) for ms in combinations_with_replacement(range(2, 13), 3)]
+        types = list(enumerate_types(self.SMALL))
+        types += [ty for ty in lone_wild + triples if slope(ty) > 0]
+
+        def scan(form, target):
+            n = 1
+            while max(0, form.value(n)) < target:
+                n += 1
+            return n
+
+        witnesses = set()
+        for ty in types:
+            form = exact_form(ty)
+            _, _, first1, first2, _ = _statement_stats(ty)
+            assert (first1, first2) == (scan(form, 1), scan(form, 2)), ty
+            witnesses.add((first1, first2))
+        assert {5, 6} <= {f1 for f1, _ in witnesses}
+        assert {9, 10} <= {f2 for _, f2 in witnesses}
 
     def test_rows(self):
         rep = verify_all(self.SMALL, keep_rows=True)
