@@ -28,7 +28,7 @@ which reports named violations instead of raising.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -152,7 +152,10 @@ class FibrationNumericalType:
 
     Fibres are canonicalized on construction: sorted ascending by
     (m, nu, t, a).  All values are immutable and hashable, so types can
-    be shared freely between concurrent workers.
+    be shared freely between concurrent workers.  ``torsion_length``, the
+    total length t of the torsion part of the direct image, is derived
+    from the fibres once on construction; it takes no part in equality,
+    hashing, ``repr`` or ``to_dict``.
     """
 
     p: int
@@ -161,6 +164,7 @@ class FibrationNumericalType:
     quasi_elliptic: bool
     fibres: tuple[FibreDatum, ...]
     existence_unknown: bool = False
+    torsion_length: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         validate_characteristic(self.p)
@@ -176,16 +180,12 @@ class FibrationNumericalType:
                 raise InvalidInputError(f"fibres must contain FibreDatum, got {f!r}")
         fibres = tuple(sorted(fibres, key=lambda f: f.sort_key))
         object.__setattr__(self, "fibres", fibres)
+        object.__setattr__(self, "torsion_length", sum(f.t for f in fibres))
 
     @property
     def r(self) -> int:
         """Number of multiple fibres."""
         return len(self.fibres)
-
-    @property
-    def torsion_length(self) -> int:
-        """Total length t of the torsion part of the direct image."""
-        return sum(f.t for f in self.fibres)
 
     @property
     def sort_key(self):

@@ -32,12 +32,26 @@ every other candidate goes through ``is_admissible``.
 Both modes stop with ``UnsupportedInputError`` when a cell would test
 more than ``MATERIAL_GUARD`` candidates.  ``_map_cells`` runs the cells
 serially or in a process pool, for the sweep and for the enumeration.
+
+The certified mode counts the wild cells with chi + t >= 3 instead of
+building them (``_count_certified``).  There the base degree is d >= 1,
+so the cell's one certificate, easy-large-degree (P_n >= n*d + 1),
+bounds every type termwise, and the count is a sum of multiset counts
+of the per-fibre menus, with condition U decided once per (m, nu) shape
+when chi = 0; the guard is checked against the number of wild
+combinations, arithmetically.  It builds them as before in two cases:
+with ``keep_rows``, which needs a row per type, and when the sweep's
+maximum first1 or first2 is at most 1 (as at ``max_fibres=1``), when the
+attainer lists include every counted type.  ``materialized`` and
+``total_materialized`` count the covered types, built or counted.  The
+material mode and ``enumerate_types`` build every type.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -50,7 +64,7 @@ from .cases import (
     replay_type,
     section4_label,
 )
-from .congruence import _all_u, check_all_U
+from .congruence import QuasiLinearForm, _all_u, check_all_U
 from .errors import (
     InadmissibleTypeError,
     InvalidInputError,
@@ -291,9 +305,14 @@ def _multisets_upto(max_mult: int, max_size: int):
         yield from combinations_with_replacement(values, k)
 
 
+def _multichoose(n: int, k: int) -> int:
+    """The number of multisets of size k drawn from n kinds (1 for k = 0,
+    also when n = 0)."""
+    return comb(n + k - 1, k) if k else 1
+
+
 def _count_multisets_upto(max_mult: int, max_size: int) -> int:
-    n = max_mult - 1
-    return sum(comb(n + k - 1, k) for k in range(max_size + 1))
+    return sum(_multichoose(max_mult - 1, k) for k in range(max_size + 1))
 
 
 def _covered_companions(max_mult: int, max_size: int, wilds: tuple[FibreDatum, ...]):
@@ -512,7 +531,11 @@ def _statement_stats(t: FibrationNumericalType):
 
 
 # Tame fibres materialized beside each wild combination in a certified
-# cell; the cell's class certificate covers every shape with more.
+# cell with chi + t <= 2; the cell's class certificate covers every shape
+# with more.  The wild cells with chi + t >= 3 take no tame companion:
+# their easy-large-degree certificate covers every type, and the sweep
+# counts their bare wild combinations (``_count_certified``) unless it
+# keeps rows or needs their attainers, when it builds them.
 _CERTIFIED_TAME_CAP = {(0, 0): 4, (0, 1): 2}
 # The tame cells with chi >= 1 are covered whole by their certificates;
 # these shapes are kept as representatives for reporting ((): chi >= 3).
@@ -534,6 +557,80 @@ def _materialize_certified(bounds: EnumerationBounds, cell):
     return [ty for ty in reps if is_admissible(ty).admissible]
 
 
+def _counted(cell) -> bool:
+    """Whether the certified sweep counts the cell's types: a wild cell
+    with chi + t >= 3."""
+    _, chi, t, _ = cell
+    return t >= 1 and chi + t >= 3
+
+
+def _shape_weight(menu: Counter, shape) -> int:
+    """The wild combinations behind a multiset of (m, nu) shapes, given
+    the number of coefficient choices of each shape in ``menu``."""
+    weight = 1
+    for key in set(shape):
+        weight *= _multichoose(menu[key], shape.count(key))
+    return weight
+
+
+def _count_certified(bounds: EnumerationBounds, cell) -> int:
+    """The number of admissible types of a counted cell, equal to
+    ``len(_cell_types(bounds, cell, 0, MATERIAL_GUARD))`` without building
+    one.  Raises like ``_cell_types`` when the cell has more than
+    ``MATERIAL_GUARD`` wild combinations.
+
+    In such a cell d = chi + t - 2 >= 1, so the slope is positive and
+    the h^1 flag is t <= 1 for every type; a type is admissible iff each
+    fibre passes its local rules and, when chi = 0 and the fibration is
+    elliptic, its (m, nu) shape satisfies condition U.  So the count is
+    a sum over the torsion partitions of products of multiset counts of
+    the per-t_j menus, each U-passing shape weighted by its coefficient
+    choices.  The cell's one certificate bounds every type termwise by
+    1 + n*d, so no type fails a statement or its replay, and P_13 >= 2."""
+    p, chi, t, quasi = cell
+    (cert,) = class_certificates(chi, t)
+    d = chi + t - 2
+    if d < 1 or (cert.label, cert.bound) != (
+        "easy-large-degree", QuasiLinearForm(1, d, ())
+    ):
+        raise AssertionError(f"cell {cell} is not covered whole by easy-large-degree")
+    raw = {t_j: _wild_data(p, t_j, bounds.max_mult) for t_j in (1, 2)}
+    partitions = [
+        (k1, k2) for k1, k2 in _torsion_partitions(t) if k1 + k2 <= bounds.max_fibres
+    ]
+    combinations = sum(
+        _multichoose(len(raw[1]), k1) * _multichoose(len(raw[2]), k2)
+        for k1, k2 in partitions
+    )
+    if combinations > MATERIAL_GUARD:
+        raise UnsupportedInputError(
+            f"cell {cell} exceeds the materialization guard ({MATERIAL_GUARD}); "
+            "tighten the bounds or use the certified sweep"
+        )
+    # the coefficient choices per (m, nu) shape of each menu
+    h1_flag = t <= 1
+    ones, twos = (
+        Counter((f.m, f.nu) for f in raw[t_j] if not _fibre_violations(f, p, h1_flag))
+        for t_j in (1, 2)
+    )
+    if chi != 0 or quasi:
+        return sum(
+            _multichoose(ones.total(), k1) * _multichoose(twos.total(), k2)
+            for k1, k2 in partitions
+        )
+    # condition U reads the (m, nu) shape alone; partitions differ in
+    # their number of fibres, so each shape is decided exactly once
+    total = 0
+    for k1, k2 in partitions:
+        for shape1 in combinations_with_replacement(sorted(ones), k1):
+            weight1 = _shape_weight(ones, shape1)
+            for shape2 in combinations_with_replacement(sorted(twos), k2):
+                shape = shape1 + shape2
+                if _all_u([m for m, _ in shape], [nu for _, nu in shape]):
+                    total += weight1 * _shape_weight(twos, shape2)
+    return total
+
+
 def _raise_max(best: tuple[int, list], value: int, attainers) -> tuple[int, list]:
     """The running (maximum, attainers) after ``attainers`` reach ``value``."""
     top, found = best
@@ -547,7 +644,32 @@ def _raise_max(best: tuple[int, list], value: int, attainers) -> tuple[int, list
 def _sweep_cell(
     bounds: EnumerationBounds, cell, materialize_all: bool, keep_rows: bool = False
 ) -> dict:
-    p, chi, t, quasi = cell
+    """One cell's part of the report.  A counted cell (certified mode,
+    no rows) reports its count and its label but not its attainers: each
+    of its types attains first1 = first2 = 1, and ``verify_all`` builds
+    the cell when no other cell beats that."""
+    if materialize_all or keep_rows or not _counted(cell):
+        return _sweep_built(bounds, cell, materialize_all, keep_rows)
+    count = _count_certified(bounds, cell)
+    top = 1 if count else 0
+    result = {
+        "materialized": count,
+        "labels": {"easy-large-degree": count} if count else {},
+        "counterexamples": [],
+        "replay_failures": [],
+        "first1": (top, []),
+        "first2": (top, []),
+        "p13_le_1": [],
+        "rows": [],
+        "counted": True,
+    }
+    return _finish_cell(cell, result, certified=True)
+
+
+def _sweep_built(
+    bounds: EnumerationBounds, cell, materialize_all: bool, keep_rows: bool
+) -> dict:
+    """One cell's part of the report, from its types checked one by one."""
     if materialize_all:
         types = _cell_types_material(bounds, cell, MATERIAL_GUARD)
     else:
@@ -572,22 +694,6 @@ def _sweep_cell(
         first2 = _raise_max(first2, f2, (ty,))
         if p13 <= 1:
             p13_low.append(ty.to_dict())
-    certified = []
-    if not materialize_all:
-        for cert in class_certificates(chi, t):
-            ok = cert.statements_pass()
-            entry = {
-                "name": cert.name,
-                "label": cert.label,
-                "cell": {"p": p, "chi": chi, "t": t, "quasi_elliptic": quasi},
-                "statements_ok": ok,
-                "first_ge1_ceiling": cert.bound.first_at_least(1, 14),
-                "first_ge2_ceiling": cert.bound.first_at_least(2, 14),
-                "p13_ge_2": cert.bound.value(13) >= 2,
-            }
-            certified.append(entry)
-            if not ok:
-                counterexamples.append({"certificate": cert.name, "cell": entry["cell"]})
     rows = []
     if keep_rows:
         rows = [
@@ -598,8 +704,7 @@ def _sweep_cell(
             }
             for ty in types
         ]
-    return {
-        "cell": {"p": p, "chi": chi, "t": t, "quasi_elliptic": quasi},
+    result = {
         "materialized": len(types),
         "labels": labels,
         "counterexamples": counterexamples,
@@ -607,9 +712,36 @@ def _sweep_cell(
         "first1": (first1[0], [ty.to_dict() for ty in first1[1]]),
         "first2": (first2[0], [ty.to_dict() for ty in first2[1]]),
         "p13_le_1": p13_low,
-        "certified": certified,
         "rows": rows,
+        "counted": False,
     }
+    return _finish_cell(cell, result, certified=not materialize_all)
+
+
+def _finish_cell(cell, result: dict, certified: bool) -> dict:
+    """Add the cell key and, in certified mode, the cell's class
+    certificates, reporting each that fails a statement."""
+    p, chi, t, quasi = cell
+    key = {"p": p, "chi": chi, "t": t, "quasi_elliptic": quasi}
+    entries = []
+    for cert in class_certificates(chi, t) if certified else ():
+        ok = cert.statements_pass()
+        entries.append(
+            {
+                "name": cert.name,
+                "label": cert.label,
+                "cell": key,
+                "statements_ok": ok,
+                "first_ge1_ceiling": cert.bound.first_at_least(1, 14),
+                "first_ge2_ceiling": cert.bound.first_at_least(2, 14),
+                "p13_ge_2": cert.bound.value(13) >= 2,
+            }
+        )
+        if not ok:
+            result["counterexamples"].append({"certificate": cert.name, "cell": key})
+    result["cell"] = key
+    result["certified"] = entries
+    return result
 
 
 def verify_all(
@@ -622,6 +754,17 @@ def verify_all(
     ``jobs`` value: cells are independent work units, merged in canonical
     cell order."""
     results = _map_cells(_sweep_cell, bounds, jobs, materialize_all, keep_rows)
+    top1 = max((res["first1"][0] for res in results), default=0)
+    top2 = max((res["first2"][0] for res in results), default=0)
+    if min(top1, top2) <= 1:
+        # the attainers of first1 = 1 or first2 = 1 include every type of
+        # every counted cell, so those cells are built after all
+        results = [
+            _sweep_built(bounds, cell, materialize_all=False, keep_rows=False)
+            if res["counted"]
+            else res
+            for cell, res in zip(_cell_order(bounds), results)
+        ]
 
     labels: dict[str, int] = {}
     counterexamples = []

@@ -213,6 +213,31 @@ class TestStructure:
         with pytest.raises(InvalidInputError):
             FibrationNumericalType(p=0, g=-1, chi=0, quasi_elliptic=False, fibres=())
 
+    def test_torsion_length_is_derived_on_construction(self):
+        import dataclasses
+
+        wild2 = FibreDatum.wild_fibre(p=2, nu=1, e=2, t=2, a=1)
+        t = FibrationNumericalType(
+            p=2, g=0, chi=1, quasi_elliptic=False,
+            fibres=(wild2, FibreDatum.tame(3)),
+        )
+        assert t.torsion_length == 2
+        # replace() and from_dict rebuild it from the new fibres
+        assert dataclasses.replace(t, fibres=()).torsion_length == 0
+        three = dataclasses.replace(t, fibres=t.fibres + WILD_421.fibres)
+        assert three.torsion_length == 3
+        assert FibrationNumericalType.from_dict(three.to_dict()).torsion_length == 3
+        # it takes no part in equality, hashing, repr or to_dict
+        other = FibrationNumericalType.from_dict(t.to_dict())
+        object.__setattr__(other, "torsion_length", 99)
+        assert other == t and hash(other) == hash(t)
+        assert "torsion_length" not in repr(t)
+        assert "torsion_length" not in t.to_dict()
+        with pytest.raises(TypeError):
+            FibrationNumericalType(
+                p=0, g=0, chi=0, quasi_elliptic=False, fibres=(), torsion_length=1
+            )
+
     @pytest.mark.parametrize(
         "fibres", [(1,), (FibreDatum.tame(2), "m=3"), ({"m": 2},)]
     )

@@ -523,6 +523,143 @@ class TestSweep:
         assert len(row["series"]) == 14 and "label" in row
 
 
+def _digest(report):
+    import hashlib
+    import json
+
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+class TestCountedCells:
+    """The certified sweep counts the wild cells with chi + t >= 3, whose
+    easy-large-degree certificate covers every type, instead of building
+    them; building stays the oracle."""
+
+    # (bounds, SHA-256 of the certified report as built type by type)
+    PINNED = [
+        (EnumerationBounds(2, 8, 4),
+         "82ec189dcbd6aa498f852d2cbb9c0f8bc5ee3c353515d6439bfef5436c9988a9"),
+        (EnumerationBounds(3, 8, 4),
+         "688a988f23c3b7d04b942c78505cba0076b8cd60cba04cca36438ac36e357c04"),
+        (EnumerationBounds(4, 8, 4),
+         "4c47c3a5cba8cedbe72b2e87997712715f0cc7ebbd2c3cd79940c3564951e76a"),
+        (EnumerationBounds(10, 1, 4),
+         "dbd63d820d3131ac363592082893f73ac43a034f92b44b29a36f381aa25c7f11"),
+        (EnumerationBounds(30, 8, 4, (2,)),
+         "b1adbf55a7afb0a9cbc57ff2b9ebf28fc1ebc02a65921caff2f0110e9124f469"),
+        (EnumerationBounds(12, 3, 6, (2, 3)),
+         "0b9a9df07c41291fdfab1950a86e0ae265ff3714d56a99e542132aa0249dc60f"),
+        (EnumerationBounds(10, 1, 3, (2,)),
+         "602dff076b7ac401b247fcaee136e336ed872654c7ca9730f4bb61397bb878af"),
+    ]
+    BOUNDS = [bounds for bounds, _ in PINNED]
+
+    def test_multichoose(self):
+        from plurigenera.verifier import _multichoose
+
+        assert _multichoose(0, 0) == 1 and _multichoose(5, 0) == 1
+        assert _multichoose(0, 2) == 0
+        assert _multichoose(3, 2) == len(list(combinations_with_replacement(range(3), 2)))
+
+    @pytest.mark.parametrize("bounds", BOUNDS)
+    def test_count_matches_built_types(self, bounds):
+        from plurigenera.verifier import (
+            MATERIAL_GUARD,
+            _cell_order,
+            _cell_types,
+            _count_certified,
+            _counted,
+        )
+
+        cells = [cell for cell in _cell_order(bounds) if _counted(cell)]
+        assert cells
+        for cell in cells:
+            built = _cell_types(bounds, cell, 0, MATERIAL_GUARD)
+            assert _count_certified(bounds, cell) == len(built), cell
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_reports_are_pinned(self, jobs):
+        for bounds, digest in self.PINNED:
+            assert _digest(verify_all(bounds, jobs=jobs)) == digest, bounds
+
+    def test_attainers_are_built_when_counted_cells_attain_the_maximum(self):
+        # at max_fibres = 1 no type needs n >= 2 for P_n >= 1, so every
+        # type of every counted cell attains max first1 = 1
+        rep = verify_all(EnumerationBounds(10, 1, 3, (2,)))
+        ex = rep["extremes"]
+        assert ex["max_first_nonzero"] == 1
+        attainers = ex["max_first_nonzero_attainers"]
+        assert len(attainers) == 61
+        large = [
+            d for d in attainers if d["chi"] + sum(f["t"] for f in d["fibres"]) >= 3
+        ]
+        assert large and len(large) < len(attainers)
+
+    def test_rows_cover_every_counted_type(self):
+        from plurigenera.verifier import _cell_order, _cell_types, _counted
+
+        bounds = EnumerationBounds(8, 3, 3, (2, 3))
+        with_rows = verify_all(bounds, keep_rows=True)
+        assert {k: v for k, v in with_rows.items() if k != "rows"} == verify_all(bounds)
+        assert len(with_rows["rows"]) == with_rows["total_materialized"]
+        row_types = {
+            FibrationNumericalType.from_dict(row["type"]) for row in with_rows["rows"]
+        }
+        counted = [cell for cell in _cell_order(bounds) if _counted(cell)]
+        assert any(_cell_types(bounds, cell, 0, None) for cell in counted)
+        for cell in counted:
+            assert set(_cell_types(bounds, cell, 0, None)) <= row_types, cell
+
+    @pytest.mark.parametrize("cell", [(2, 0, 4, False), (3, 1, 3, True)])
+    def test_guard_counts_raw_combinations(self, cell, monkeypatch):
+        from plurigenera import verifier
+        from plurigenera.verifier import _sweep_cell, _wild_combos
+
+        bounds = EnumerationBounds(12, 4, 4, (2, 3))
+        p, _, t, _ = cell
+        raw = len(list(_wild_combos(p, t, bounds.max_fibres, bounds.max_mult)))
+        monkeypatch.setattr(verifier, "MATERIAL_GUARD", raw - 1)
+        with pytest.raises(UnsupportedInputError):
+            _sweep_cell(bounds, cell, False)
+        monkeypatch.setattr(verifier, "MATERIAL_GUARD", raw)
+        result = _sweep_cell(bounds, cell, False)
+        assert result["counted"]
+        assert result["materialized"] == len(verifier._cell_types(bounds, cell, 0, raw))
+
+    def test_certified_matches_material_up_to_chi_plus_t_4(self):
+        bounds = EnumerationBounds(8, 3, 4, (2, 3))
+        certified = verify_all(bounds)
+        material = verify_all(bounds, materialize_all=True)
+        for rep in (certified, material):
+            assert rep["counterexamples"] == []
+            assert rep["replay_failures"] == []
+        for key in ("max_first_nonzero", "max_first_ge2"):
+            assert certified["extremes"][key] == material["extremes"][key]
+        assert certified["cases"]["easy-large-degree"] > 0
+
+    @pytest.mark.parametrize("cell", [(2, 0, 4, False), (2, 1, 3, False)])
+    def test_counted_cell_builds_no_type(self, cell, monkeypatch):
+        from plurigenera import verifier
+
+        calls = {"is_admissible": 0, "construct": 0}
+        admissible = verifier.is_admissible
+        construct = FibrationNumericalType.__post_init__
+
+        def counting_admissible(ty):
+            calls["is_admissible"] += 1
+            return admissible(ty)
+
+        def counting_construct(self):
+            calls["construct"] += 1
+            construct(self)
+
+        monkeypatch.setattr(verifier, "is_admissible", counting_admissible)
+        monkeypatch.setattr(FibrationNumericalType, "__post_init__", counting_construct)
+        result = verifier._sweep_cell(EnumerationBounds(), cell, False)
+        assert result["materialized"] > 0
+        assert calls == {"is_admissible": 0, "construct": 0}
+
+
 class TestSharpCases:
     def test_p13_equals_one_up_to_14(self):
         bounds = EnumerationBounds(
