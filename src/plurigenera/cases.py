@@ -325,9 +325,12 @@ _BRANCHES = {
 }
 
 
-def replay_type(t: FibrationNumericalType) -> CaseReplay:
+def replay_type(
+    t: FibrationNumericalType, exact: QuasiLinearForm | None = None
+) -> CaseReplay:
     """Rebuild the branch bound for one genus-zero type, check the branch's
-    structural claims, and certify the bound against the exact formula."""
+    structural claims, and certify the bound against the exact formula
+    (``exact``, when the caller has already built ``exact_form(t)``)."""
     if t.g != 0:
         raise UnsupportedInputError("the case replay covers genus-zero types")
     label = section4_label(t)
@@ -335,7 +338,9 @@ def replay_type(t: FibrationNumericalType) -> CaseReplay:
         bound = _BRANCHES[label](t)
     except _ClaimFailed as failed:
         return CaseReplay(label, None, False, (str(failed),))
-    return CaseReplay(label, bound, form_dominates(exact_form(t), bound), ())
+    if exact is None:
+        exact = exact_form(t)
+    return CaseReplay(label, bound, form_dominates(exact, bound), ())
 
 
 @dataclass(frozen=True)

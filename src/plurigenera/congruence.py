@@ -166,6 +166,17 @@ class QuasiLinearForm:
     def value(self, n: int) -> int:
         return self.const + self.linear * n + floor_sum(n, self.pairs)
 
+    def series(self, n_max: int) -> list[int]:
+        """P_0 .. P_n_max in one pass, reading P_0 = 1 and P_n =
+        max(0, value(n)) for n >= 1: one floor column per pair, summed
+        onto const + linear*n."""
+        floor_sum(n_max, self.pairs)  # validates n_max and the pairs
+        ns = range(1, n_max + 1)
+        totals = [self.const + self.linear * n for n in ns]
+        for a, m in self.pairs:
+            totals = [v + n * a // m for v, n in zip(totals, ns)]
+        return [1] + [v if v > 0 else 0 for v in totals]
+
     def growth(self) -> Fraction:
         g = Fraction(self.linear)
         for a, m in self.pairs:

@@ -355,9 +355,12 @@ MAX_SERIES_N = 10_000
 
 
 def plurigenera_series(t: FibrationNumericalType, n_max: int) -> list[PlurigenusValue]:
-    """P_0 .. P_n_max; raises ``InvalidInputError`` past ``MAX_SERIES_N``."""
+    """P_0 .. P_n_max, exact or flagged as ``plurigenus`` flags them, from
+    one pass over ``plurigenus_form``; raises ``InvalidInputError`` past
+    ``MAX_SERIES_N``."""
     _check_int("n_max", n_max, 0, MAX_SERIES_N)
-    return [plurigenus(t, n) for n in range(n_max + 1)]
+    values = plurigenus_form(t).series(n_max)
+    return [PlurigenusValue(n, v, n == 0 or t.g == 0) for n, v in enumerate(values)]
 
 
 def generic_lower_bound(t: FibrationNumericalType, n: int) -> int:

@@ -62,7 +62,6 @@ from .cases import (
     class_certificates,
     exact_form,
     replay_type,
-    section4_label,
 )
 from .congruence import QuasiLinearForm, _all_u, check_all_U
 from .errors import (
@@ -80,7 +79,7 @@ from .model import (
     FibreDatum,
     _check_int,
     factorization,
-    plurigenus,
+    plurigenus,  # noqa: F401 - perfbench's tracer wraps verifier.plurigenus
     plurigenus_form,
     slope,  # noqa: F401 - perfbench's tracer wraps verifier.slope
     validate_characteristic,
@@ -206,13 +205,16 @@ def verify_main_theorem(t: FibrationNumericalType) -> MainTheoremReport:
 
     The audit series covers P_0 .. P_(14 + 2*lcm) when the multiplicity
     lcm is small enough to print (<= 120), and P_0 .. P_40 otherwise;
-    statement (4) is always decided exactly either way."""
+    statement (4) is always decided exactly either way.  The series and
+    the statements read one ``plurigenus_form``; the series comes from
+    one pass over it (``QuasiLinearForm.series``)."""
     _require_admissible(t)
     period = lcm(*(f.m for f in t.fibres))
     upto = 14 + 2 * period if period <= 120 else 40
-    series = tuple(plurigenus(t, n).value for n in range(upto + 1))
+    form = plurigenus_form(t)
+    series = tuple(form.series(upto))
     exact = t.g == 0
-    check = StatementCheck.from_form(plurigenus_form(t))
+    check = StatementCheck.from_form(form)
     return MainTheoremReport(
         p12=check.p12,
         stmt1=check.p12 >= 2,
@@ -515,8 +517,9 @@ def enumerate_types_parallel(
 # the sweep
 
 
-def _statement_stats(t: FibrationNumericalType):
-    form = exact_form(t)
+def _statement_stats(form: QuasiLinearForm):
+    """P_12, P_13, the least n with P_n >= 1 and with P_n >= 2, and the
+    failed statements, read off an exact form."""
     check = StatementCheck.from_form(form)
     p13 = max(0, form.value(13))
     # exact least witnesses for the extremal statistics: the check has
@@ -679,13 +682,15 @@ def _sweep_built(
     replay_failures = []
     first1, first2 = (0, []), (0, [])
     p13_low = []
+    rows = []
     for ty in types:
-        label = section4_label(ty)
+        form = exact_form(ty)
+        rep = replay_type(ty, form)
+        label = rep.label
         labels[label] = labels.get(label, 0) + 1
-        p12, p13, f1, f2, failed = _statement_stats(ty)
+        p12, p13, f1, f2, failed = _statement_stats(form)
         if failed:
             counterexamples.append({"type": ty.to_dict(), "failed": failed})
-        rep = replay_type(ty)
         if not rep.ok:
             replay_failures.append(
                 {"type": ty.to_dict(), "claims": list(rep.claim_failures)}
@@ -694,16 +699,10 @@ def _sweep_built(
         first2 = _raise_max(first2, f2, (ty,))
         if p13 <= 1:
             p13_low.append(ty.to_dict())
-    rows = []
-    if keep_rows:
-        rows = [
-            {
-                "type": ty.to_dict(),
-                "label": section4_label(ty),
-                "series": [plurigenus(ty, n).value for n in range(1, 15)],
-            }
-            for ty in types
-        ]
+        if keep_rows:
+            rows.append(
+                {"type": ty.to_dict(), "label": label, "series": form.series(14)[1:]}
+            )
     result = {
         "materialized": len(types),
         "labels": labels,
@@ -840,8 +839,6 @@ def find_sharp_cases(bounds: EnumerationBounds, predicate_id: str):
     pred = _PREDICATES[predicate_id]
     hits = []
     for ty in enumerate_types(bounds):
-        form = exact_form(ty)
-        values = [1] + [max(0, form.value(n)) for n in range(1, 14)]
-        if pred(values):
+        if pred(exact_form(ty).series(13)):
             hits.append(ty)
     return hits

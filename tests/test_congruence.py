@@ -270,3 +270,30 @@ class TestQuasiLinearForm:
     def test_negative_growth(self):
         form = QuasiLinearForm(5, -1, ())
         assert form.eventually_at_least(1, 1) is False
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(-6, 6),
+        st.integers(-3, 2),
+        st.lists(
+            st.tuples(st.integers(0, 11), st.integers(1, 12)).filter(
+                lambda am: am[0] < am[1]
+            ),
+            max_size=4,
+        ),
+        st.integers(0, 60),
+    )
+    @example(1, -2, [], 0)  # P_0 alone
+    @example(-3, 0, [(0, 5)], 4)  # every value clamped at zero
+    def test_series_matches_value(self, const, linear, pairs, n_max):
+        form = QuasiLinearForm(const, linear, tuple(pairs))
+        expected = [1] + [max(0, form.value(n)) for n in range(1, n_max + 1)]
+        assert form.series(n_max) == expected
+
+    def test_series_rejects_what_value_rejects(self):
+        with pytest.raises(InvalidInputError):
+            QuasiLinearForm(1, 0, ((1, 2),)).series(-1)
+        with pytest.raises(InvalidInputError):
+            QuasiLinearForm(1, 0, ((-1, 2),)).series(5)
+        with pytest.raises(InvalidInputError):
+            QuasiLinearForm(1, 0, ((1, 0),)).series(0)

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plurigenera import (
@@ -15,10 +15,13 @@ from plurigenera import (
     delta_degree,
     generic_lower_bound,
     geometric_genus,
+    is_admissible,
     plurigenera_series,
     plurigenus,
     slope,
+    verify_main_theorem,
 )
+from plurigenera.model import MAX_SERIES_N, plurigenus_form
 
 
 def tame(ms, chi=0, g=0, p=0):
@@ -122,6 +125,75 @@ class TestPlurigenus:
     def test_negative_n_rejected(self):
         with pytest.raises(InvalidInputError):
             plurigenus(T266, -1)
+
+
+def per_n(t, n_max):
+    """The one-value API called once per n: the series kernel's reference."""
+    return [plurigenus(t, n).value for n in range(n_max + 1)]
+
+
+@st.composite
+def fibres(draw, p):
+    """A structurally valid fibre: tame, or (when p > 0) wild with any
+    coefficient, so admissible and inadmissible types are both drawn."""
+    if p == 0 or draw(st.booleans()):
+        return FibreDatum.tame(draw(st.integers(2, 12)))
+    nu, e = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    m = nu * p**e
+    return FibreDatum(m, draw(st.integers(0, m - 1)), nu, e, draw(st.integers(1, 2)))
+
+
+@st.composite
+def types(draw):
+    p = draw(st.sampled_from((0, 2, 3, 5)))
+    return FibrationNumericalType(
+        p=p,
+        g=draw(st.integers(0, 3)),
+        chi=draw(st.integers(0, 3)),
+        quasi_elliptic=False,
+        fibres=tuple(draw(st.lists(fibres(p), max_size=4))),
+    )
+
+
+class TestSeriesKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(types(), st.integers(0, 80))
+    @example(tame(()), 20)
+    @example(tame((), g=2), 20)
+    @example(tame((2, 3), g=1), 20)
+    @example(WILD_421, 20)
+    def test_kernel_matches_per_n(self, t, n_max):
+        reference = per_n(t, n_max)
+        assert plurigenus_form(t).series(n_max) == reference
+        if t.g == 0:
+            assert reference == series_oracle(t, n_max)
+        if is_admissible(t).admissible:
+            series = verify_main_theorem(t).series
+            assert list(series) == per_n(t, len(series) - 1)
+            if t.g == 0:
+                assert list(series) == series_oracle(t, len(series) - 1)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 13, MAX_SERIES_N])
+    def test_plurigenera_series_matches_per_n(self, n_max):
+        for t in (T266, WILD_421, tame((2, 3), g=1), tame((), g=2)):
+            assert plurigenera_series(t, n_max) == [
+                plurigenus(t, n) for n in range(n_max + 1)
+            ]
+
+    def test_plurigenera_series_rejects_negative_n_max(self):
+        with pytest.raises(InvalidInputError):
+            plurigenera_series(T266, -1)
+
+    @pytest.mark.parametrize(
+        "ms, period, length", [((3, 5, 8), 120, 255), ((2, 7, 9), 126, 41)]
+    )
+    def test_audit_series_cutoff_at_lcm_120(self, ms, period, length):
+        # P_0 .. P_(14 + 2*lcm) up to lcm 120, P_0 .. P_40 past it
+        t = tame(ms, g=1, chi=1)
+        assert math.lcm(*ms) == period
+        series = verify_main_theorem(t).series
+        assert len(series) == length
+        assert list(series) == per_n(t, length - 1)
 
 
 class TestGenericLowerBound:

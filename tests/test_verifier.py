@@ -18,6 +18,7 @@ from plurigenera import (
     enumerate_types,
     find_sharp_cases,
     is_admissible,
+    plurigenus,
     verify_all,
     verify_main_theorem,
     verify_tail,
@@ -510,7 +511,7 @@ class TestSweep:
         witnesses = set()
         for ty in types:
             form = exact_form(ty)
-            _, _, first1, first2, _ = _statement_stats(ty)
+            _, _, first1, first2, _ = _statement_stats(form)
             assert (first1, first2) == (scan(form, 1), scan(form, 2)), ty
             witnesses.add((first1, first2))
         assert {5, 6} <= {f1 for f1, _ in witnesses}
@@ -521,6 +522,9 @@ class TestSweep:
         assert rep["rows"]
         row = rep["rows"][0]
         assert len(row["series"]) == 14 and "label" in row
+        for row in rep["rows"]:
+            ty = FibrationNumericalType.from_dict(row["type"])
+            assert row["series"] == [plurigenus(ty, n).value for n in range(1, 15)]
 
 
 def _digest(report):
