@@ -1,57 +1,49 @@
 """Case partition of the genus-zero analysis and its branch bounds.
 
-Every admissible genus-zero type falls into one of the labels below, by
-(chi, t).  For each label the analysis supplies a quasi-linear lower
-bound for P_n; ``replay_type`` rebuilds the applicable bound for a
-concrete type, checks the structural side claims the derivation makes
-(divisor-closure shapes, coefficient branches, torsion-order
-divisibilities), and certifies the bound termwise against the exact
-formula, which proves bound(n) <= P_n for every n at once.  Each branch
-is one ``_*_bound`` function that returns its bound or raises the first
-claim the type fails; ``replay_type`` reports that claim.
+Every admissible genus-zero type falls into one (chi, t) cell of the
+analysis, and ``cell_row`` returns the cell's one row: its case label,
+its branch, its class certificates and the residual the certified sweep
+checks type by type.  The cells with chi + t <= 2 are the constant table
+``_CELL_ROWS``; every cell with chi + t >= 3 has the easy-large-degree
+row of its base degree d = chi + t - 2.
 
-``class_certificates`` lists, per (chi, t) cell, the bounds that cover
-whole shape classes regardless of the multiplicity details (e.g. "five
-or more multiple fibres").  The exhaustive verifier materializes only
-the finitely many shapes outside these classes.
+For each type the branch supplies a quasi-linear lower bound for P_n;
+``replay_type`` rebuilds it for a concrete type, checks the structural
+side claims the derivation makes (divisor-closure shapes, coefficient
+branches, torsion-order divisibilities), and certifies the bound
+termwise against the exact formula, which proves bound(n) <= P_n for
+every n at once.  Each branch is one ``_*_bound`` function that returns
+its bound (``None`` when the bound is the exact form) or raises the
+first claim the type fails; ``replay_type`` reports that claim.
+
+The class certificates of a row are the bounds that cover whole shape
+classes regardless of the multiplicity details (e.g. "five or more
+multiple fibres").  The exhaustive verifier materializes only the
+finitely many shapes outside these classes: the row's residual.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lcm
 
 from .congruence import QuasiLinearForm
 from .errors import UnsupportedInputError
-from .model import FibrationNumericalType, delta_degree, exact_form
+from .model import FIBRE_RULE_CACHE_SIZE, FibrationNumericalType, exact_form
 
 HALF = (1, 2)
 
 
 def section4_label(t: FibrationNumericalType) -> str:
-    """Which branch of the genus-zero case analysis the type belongs to.
-
-    The printed partition covers (chi, t) in {(1,1), (0,2), (0,1),
-    (0,0)}; the leftover cell (1, 0) is labeled ``case3-tame`` (its
-    canonical class has the same degree -1 shape as case 3 with every
-    fibre tame).
-    """
-    ct = t.chi + t.torsion_length
-    if t.g >= 1:
-        if ct >= 1:
-            return "easy-positive-genus"
-        return "easy-genus-ge-2" if t.g >= 2 else "easy-genus-1"
-    if ct >= 3:
-        return "easy-large-degree"
-    cell = (t.chi, t.torsion_length)
-    return {
-        (2, 0): "easy-chi-2",
-        (1, 1): "case1",
-        (1, 0): "case3-tame",
-        (0, 2): "case2",
-        (0, 1): "case3",
-        (0, 0): "case4",
-    }[cell]
+    """Which branch of the case analysis the type belongs to: for a
+    genus-zero type, the label of its (chi, t) row (``cell_row``)."""
+    if t.g == 0:
+        return cell_row(t.chi, t.torsion_length).label
+    if t.chi + t.torsion_length >= 1:
+        return "easy-positive-genus"
+    return "easy-genus-ge-2" if t.g >= 2 else "easy-genus-1"
 
 
 def form_dominates(exact: QuasiLinearForm, bound: QuasiLinearForm) -> bool:
@@ -305,7 +297,7 @@ def _case4_bound(t):
     if case4_sharp_family(ms) is None:
         raise _ClaimFailed("case4: m1 = 2 triples are (2,b,2b), b >= 5 odd, "
                            "or (2,2a,2a), a >= 3")
-    return exact_form(t)
+    return None  # the sharp families are bounded by their exact form
 
 
 def _easy_chi2_bound(t):
@@ -314,15 +306,86 @@ def _easy_chi2_bound(t):
     return QuasiLinearForm(1, 0, (HALF,))
 
 
-_BRANCHES = {
-    "easy-large-degree": lambda t: QuasiLinearForm(1, delta_degree(t), ()),
-    "easy-chi-2": _easy_chi2_bound,
-    "case1": _case1_bound,
-    "case2": _case2_bound,
-    "case3": _case3_bound,
-    "case3-tame": _case3_tame_bound,
-    "case4": _case4_bound,
+@dataclass(frozen=True)
+class ClassCertificate:
+    """A branch bound valid for every admissible type of a whole shape
+    class within one (chi, t) cell; the member test is structural."""
+
+    name: str
+    bound: QuasiLinearForm
+
+    def statements_pass(self) -> bool:
+        return not StatementCheck.from_form(self.bound).failed
+
+
+@dataclass(frozen=True)
+class CellRow:
+    """What the analysis says about one genus-zero (chi, t) cell: its case
+    label, the branch that bounds each of its types, the class
+    certificates, and the residual the certified sweep checks type by
+    type - every wild combination with at most ``tame_cap`` tame fibres
+    beside it, or nothing (``None``) when the certificates cover the
+    cell whole."""
+
+    label: str
+    branch: Callable[[FibrationNumericalType], QuasiLinearForm | None]
+    certificates: tuple[ClassCertificate, ...]
+    tame_cap: int | None
+
+
+# The cells with chi + t <= 2.  (1, 0) is not in the printed partition;
+# its canonical class has the same degree -1 shape as case 3 with every
+# fibre tame.
+_CELL_ROWS = {
+    (0, 0): CellRow("case4", _case4_bound, (
+        # five or more tame fibres
+        ClassCertificate("case4-r-ge-5", QuasiLinearForm(1, -2, _halves(5))),
+    ), tame_cap=4),
+    (0, 1): CellRow("case3", _case3_bound, (
+        # four or more fibres (three tame floors suffice)
+        ClassCertificate("case3-r-ge-4", QuasiLinearForm(1, -1, _halves(3))),
+    ), tame_cap=2),
+    (0, 2): CellRow("case2", _case2_bound, (
+        # some fibre has a = m-1 (any tame companion qualifies)
+        ClassCertificate("case2-max-coefficient", QuasiLinearForm(1, 0, (HALF,))),
+    ), tame_cap=0),
+    (1, 1): CellRow("case1", _case1_bound, (
+        # some fibre has a = m-1 (any tame companion qualifies)
+        ClassCertificate("case1-max-coefficient", QuasiLinearForm(1, 0, (HALF,))),
+    ), tame_cap=0),
+    (1, 0): CellRow("case3-tame", _case3_tame_bound, (
+        # two tame fibres; positivity forces multiplicities >= (2,3)
+        ClassCertificate("case3-tame-r-2", QuasiLinearForm(1, -1, (HALF, (2, 3)))),
+        # three or more tame fibres
+        ClassCertificate("case3-tame-r-ge-3", QuasiLinearForm(1, -1, _halves(3))),
+    ), tame_cap=None),
+    (2, 0): CellRow("easy-chi-2", _easy_chi2_bound, (
+        # degree-zero base term with at least one tame fibre
+        ClassCertificate("easy-chi-2", QuasiLinearForm(1, 0, (HALF,))),
+    ), tame_cap=None),
 }
+
+
+@lru_cache(maxsize=FIBRE_RULE_CACHE_SIZE)
+def _large_degree_row(d: int) -> CellRow:
+    # base degree d >= 1 gives P_n >= n*d + 1 for every type of the cell
+    bound = QuasiLinearForm(1, d, ())
+    return CellRow(
+        "easy-large-degree",
+        lambda t: bound,
+        (ClassCertificate("easy-large-degree", bound),),
+        tame_cap=None,
+    )
+
+
+def cell_row(chi: int, t: int) -> CellRow:
+    """The row of the genus-zero cell (chi, t); the cells with
+    chi + t >= 3 share one row per base degree d = chi + t - 2."""
+    if chi >= 0 and t >= 0:
+        return _large_degree_row(chi + t - 2) if chi + t >= 3 else _CELL_ROWS[chi, t]
+    raise UnsupportedInputError(
+        f"the case analysis has no cell (chi, t) = ({chi}, {t}); it needs chi, t >= 0"
+    )
 
 
 def replay_type(
@@ -333,100 +396,13 @@ def replay_type(
     (``exact``, when the caller has already built ``exact_form(t)``)."""
     if t.g != 0:
         raise UnsupportedInputError("the case replay covers genus-zero types")
-    label = section4_label(t)
+    row = cell_row(t.chi, t.torsion_length)
     try:
-        bound = _BRANCHES[label](t)
+        bound = row.branch(t)
     except _ClaimFailed as failed:
-        return CaseReplay(label, None, False, (str(failed),))
+        return CaseReplay(row.label, None, False, (str(failed),))
     if exact is None:
         exact = exact_form(t)
-    return CaseReplay(label, bound, form_dominates(exact, bound), ())
-
-
-@dataclass(frozen=True)
-class ClassCertificate:
-    """A branch bound valid for every admissible type of a whole shape
-    class within one (chi, t) cell; the member test is structural."""
-
-    name: str
-    label: str
-    bound: QuasiLinearForm
-    description: str
-
-    def statements_pass(self) -> bool:
-        return not StatementCheck.from_form(self.bound).failed
-
-
-# The certificates of the genus-zero cells with chi + t <= 2, by (chi, t).
-_CLASS_CERTIFICATES = {
-    (0, 0): (
-        ClassCertificate(
-            "case4-r-ge-5",
-            "case4",
-            QuasiLinearForm(1, -2, _halves(5)),
-            "five or more tame fibres",
-        ),
-    ),
-    (0, 1): (
-        ClassCertificate(
-            "case3-r-ge-4",
-            "case3",
-            QuasiLinearForm(1, -1, _halves(3)),
-            "four or more fibres (three tame floors suffice)",
-        ),
-    ),
-    (0, 2): (
-        ClassCertificate(
-            "case2-max-coefficient",
-            "case2",
-            QuasiLinearForm(1, 0, (HALF,)),
-            "some fibre has a = m-1 (any tame companion qualifies)",
-        ),
-    ),
-    (1, 1): (
-        ClassCertificate(
-            "case1-max-coefficient",
-            "case1",
-            QuasiLinearForm(1, 0, (HALF,)),
-            "some fibre has a = m-1 (any tame companion qualifies)",
-        ),
-    ),
-    (1, 0): (
-        ClassCertificate(
-            "case3-tame-r-2",
-            "case3-tame",
-            QuasiLinearForm(1, -1, (HALF, (2, 3))),
-            "two tame fibres; positivity forces multiplicities >= (2,3)",
-        ),
-        ClassCertificate(
-            "case3-tame-r-ge-3",
-            "case3-tame",
-            QuasiLinearForm(1, -1, _halves(3)),
-            "three or more tame fibres",
-        ),
-    ),
-    (2, 0): (
-        ClassCertificate(
-            "easy-chi-2",
-            "easy-chi-2",
-            QuasiLinearForm(1, 0, (HALF,)),
-            "degree-zero base term with at least one tame fibre",
-        ),
-    ),
-}
-
-
-def class_certificates(chi: int, t: int) -> tuple[ClassCertificate, ...]:
-    """Certificates covering the non-materialized shapes of a genus-zero
-    cell.  Cells are keyed by (chi, t); chi + t <= 2 cells carry the
-    named branch classes, larger cells the linear-growth class."""
-    if chi + t >= 3:
-        return (
-            ClassCertificate(
-                "easy-large-degree",
-                "easy-large-degree",
-                QuasiLinearForm(1, chi + t - 2, ()),
-                "base degree d >= 1 gives P_n >= n*d + 1",
-            ),
-        )
-    return _CLASS_CERTIFICATES.get((chi, t), ())
+    if bound is None:  # the branch's bound is the exact form itself
+        bound = exact
+    return CaseReplay(row.label, bound, form_dominates(exact, bound), ())

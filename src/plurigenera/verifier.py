@@ -10,20 +10,21 @@ with statement (4) decided exactly through the quasi-linear structure of
 the plurigenus formula.
 
 ``verify_all`` runs the sweep in one of two modes.  The certified mode
-(default) mirrors the structure of the genus-zero case analysis: shapes
-the analysis handles uniformly (for example "five or more tame fibres")
-are covered by class certificates - quasi-linear bounds whose statement
-checks are decided exactly - while the finitely many remaining shapes
-(triples and quadruples with no base term, small wild configurations)
-are materialized and checked one by one.  ``materialize_all=True``
-enumerates every admissible type in bounds instead; it is exact but only
-practical for small bounds.
+(default) mirrors the structure of the genus-zero case analysis and
+reads each cell's row of it, ``cases.cell_row``: shapes the analysis
+handles uniformly (for example "five or more tame fibres") are covered
+by the row's class certificates - quasi-linear bounds whose statement
+checks are decided exactly - while the finitely many remaining shapes,
+the row's residual (triples and quadruples with no base term, small
+wild configurations), are materialized and checked one by one.
+``materialize_all=True`` enumerates every admissible type in bounds
+instead; it is exact but only practical for small bounds.
 
 Both modes generate candidates through one loop, ``_cell_types``: each
 wild combination of a cell with its tame companions, drawn from the
 condition-U walk when chi = 0 and from all multisets otherwise.  The
 material mode lets the companions fill every free fibre slot; the
-certified mode caps them at the shapes its certificates leave open.
+certified mode caps them at the row's ``tame_cap``.
 A combination with no free slot is tested bare.  When condition U
 applies to it (chi = 0, elliptic), U is decided once per shape - the
 tuple of (m, nu) pairs, which is all that U reads - on integers, and a
@@ -33,15 +34,16 @@ Both modes stop with ``UnsupportedInputError`` when a cell would test
 more than ``MATERIAL_GUARD`` candidates.  ``_map_cells`` runs the cells
 serially or in a process pool, for the sweep and for the enumeration.
 
-The certified mode counts the wild cells with chi + t >= 3 instead of
-building them (``_count_certified``).  There the base degree is d >= 1,
-so the cell's one certificate, easy-large-degree (P_n >= n*d + 1),
-bounds every type termwise, and the count is a sum of multiset counts
-of the per-fibre menus, with condition U decided once per (m, nu) shape
-when chi = 0; the guard is checked against the number of wild
-combinations, arithmetically.  It builds them as before in two cases:
-with ``keep_rows``, which needs a row per type, and when the sweep's
-maximum first1 or first2 is at most 1 (as at ``max_fibres=1``), when the
+The certified mode counts the wild cells that their row covers whole
+(no residual: those with chi + t >= 3) instead of building them
+(``_count_certified``).  There the base degree is d >= 1, so the row's
+one certificate, easy-large-degree (P_n >= n*d + 1), bounds every type
+termwise, and the count is a sum of multiset counts of the per-fibre
+menus, with condition U decided once per (m, nu) shape when chi = 0;
+the guard is checked against the number of wild combinations,
+arithmetically.  It builds them as before in two cases: with
+``keep_rows``, which needs a row per type, and when the sweep's maximum
+first1 or first2 is at most 1 (as at ``max_fibres=1``), when the
 attainer lists include every counted type.  ``materialized`` and
 ``total_materialized`` count the covered types, built or counted.  The
 material mode and ``enumerate_types`` build every type.
@@ -59,7 +61,7 @@ from math import comb, lcm
 
 from .cases import (
     StatementCheck,
-    class_certificates,
+    cell_row,
     exact_form,
     replay_type,
 )
@@ -101,13 +103,10 @@ class AdmissibilityReport:
         return {"admissible": self.admissible, "violations": list(self.violations)}
 
 
-def _h1_at_most_one(t: FibrationNumericalType, tl: int) -> bool:
+def _h1_at_most_one(g: int, chi: int, t: int) -> bool:
     # On a genus-zero base h^1(O_S) is determined: chi = 1 - h + p_g with
     # p_g = max(0, d+1), giving h = t when chi + t >= 1 and h = 1 otherwise.
-    if t.g != 0:
-        return False
-    h = tl if t.chi + tl >= 1 else 1
-    return h <= 1
+    return g == 0 and (t if chi + t >= 1 else 1) <= 1
 
 
 @lru_cache(maxsize=FIBRE_RULE_CACHE_SIZE)
@@ -148,7 +147,7 @@ def is_admissible(t: FibrationNumericalType) -> AdmissibilityReport:
     if t.chi < 0:
         violations.append("chi-negative")
     tl = t.torsion_length
-    h1_flag = _h1_at_most_one(t, tl)
+    h1_flag = _h1_at_most_one(t.g, t.chi, tl)
     for f in t.fibres:
         violations.extend(_fibre_violations(f, t.p, h1_flag))
     d = 2 * t.g - 2 + t.chi + tl  # delta_degree(t)
@@ -533,25 +532,21 @@ def _statement_stats(form: QuasiLinearForm):
     return check.p12, p13, first1, first2, list(check.failed)
 
 
-# Tame fibres materialized beside each wild combination in a certified
-# cell with chi + t <= 2; the cell's class certificate covers every shape
-# with more.  The wild cells with chi + t >= 3 take no tame companion:
-# their easy-large-degree certificate covers every type, and the sweep
-# counts their bare wild combinations (``_count_certified``) unless it
-# keeps rows or needs their attainers, when it builds them.
-_CERTIFIED_TAME_CAP = {(0, 0): 4, (0, 1): 2}
-# The tame cells with chi >= 1 are covered whole by their certificates;
-# these shapes are kept as representatives for reporting ((): chi >= 3).
+# The cells that the row of ``cases.cell_row`` covers whole (residual
+# ``None``) are reported through small stand-ins: a wild cell through its
+# bare wild combinations, which the sweep counts (``_count_certified``)
+# unless it keeps rows or needs their attainers, when it builds them; a
+# tame cell through these representative shapes, by chi ((): chi >= 3).
 _TAME_REPRESENTATIVES = {1: ((2, 3), (2, 2, 2)), 2: ((2,),)}
 
 
 def _materialize_certified(bounds: EnumerationBounds, cell):
-    """The finitely many shapes of one cell that the class certificates do
-    not cover (plus small representatives for reporting)."""
+    """The residual of one cell's row: the finitely many shapes that the
+    class certificates do not cover (or the stand-ins of a covered cell)."""
     p, chi, t, quasi = cell
-    if t > 0 or chi == 0:
-        cap = _CERTIFIED_TAME_CAP.get((chi, t), 0)
-        return _cell_types(bounds, cell, cap, MATERIAL_GUARD)
+    cap = cell_row(chi, t).tame_cap
+    if cap is not None or t > 0:
+        return _cell_types(bounds, cell, cap or 0, MATERIAL_GUARD)
     reps = (
         FibrationNumericalType.tame_type(ms, p=p, chi=chi, quasi_elliptic=quasi)
         for ms in _TAME_REPRESENTATIVES.get(chi, ((),))
@@ -562,9 +557,9 @@ def _materialize_certified(bounds: EnumerationBounds, cell):
 
 def _counted(cell) -> bool:
     """Whether the certified sweep counts the cell's types: a wild cell
-    with chi + t >= 3."""
+    that its row covers whole (chi + t >= 3)."""
     _, chi, t, _ = cell
-    return t >= 1 and chi + t >= 3
+    return t >= 1 and cell_row(chi, t).tame_cap is None
 
 
 def _shape_weight(menu: Counter, shape) -> int:
@@ -583,20 +578,21 @@ def _count_certified(bounds: EnumerationBounds, cell) -> int:
     ``MATERIAL_GUARD`` wild combinations.
 
     In such a cell d = chi + t - 2 >= 1, so the slope is positive and
-    the h^1 flag is t <= 1 for every type; a type is admissible iff each
-    fibre passes its local rules and, when chi = 0 and the fibration is
-    elliptic, its (m, nu) shape satisfies condition U.  So the count is
-    a sum over the torsion partitions of products of multiset counts of
-    the per-t_j menus, each U-passing shape weighted by its coefficient
-    choices.  The cell's one certificate bounds every type termwise by
-    1 + n*d, so no type fails a statement or its replay, and P_13 >= 2."""
+    the h^1 flag is fixed by (chi, t) for every type; a type is
+    admissible iff each fibre passes its local rules and, when chi = 0
+    and the fibration is elliptic, its (m, nu) shape satisfies condition
+    U.  So the count is a sum over the torsion partitions of products of
+    multiset counts of the per-t_j menus, each U-passing shape weighted by
+    its coefficient choices.  The premise is read from the cell's row: it
+    has no residual, and its one certificate (1 + n*d) bounds every type
+    termwise by a floor-free form that is nondecreasing and >= 2 from
+    n = 1 on, so no type fails a statement or its replay, and P_13 >= 2."""
     p, chi, t, quasi = cell
-    (cert,) = class_certificates(chi, t)
-    d = chi + t - 2
-    if d < 1 or (cert.label, cert.bound) != (
-        "easy-large-degree", QuasiLinearForm(1, d, ())
-    ):
-        raise AssertionError(f"cell {cell} is not covered whole by easy-large-degree")
+    row = cell_row(chi, t)
+    (cert,) = row.certificates
+    bound = cert.bound
+    if row.tame_cap is not None or bound.pairs or bound.linear < 0 or bound.value(1) < 2:
+        raise AssertionError(f"cell {cell} is not covered whole by P_n >= 2 for n >= 1")
     raw = {t_j: _wild_data(p, t_j, bounds.max_mult) for t_j in (1, 2)}
     partitions = [
         (k1, k2) for k1, k2 in _torsion_partitions(t) if k1 + k2 <= bounds.max_fibres
@@ -611,7 +607,7 @@ def _count_certified(bounds: EnumerationBounds, cell) -> int:
             "tighten the bounds or use the certified sweep"
         )
     # the coefficient choices per (m, nu) shape of each menu
-    h1_flag = t <= 1
+    h1_flag = _h1_at_most_one(0, chi, t)
     ones, twos = (
         Counter((f.m, f.nu) for f in raw[t_j] if not _fibre_violations(f, p, h1_flag))
         for t_j in (1, 2)
@@ -653,11 +649,12 @@ def _sweep_cell(
     the cell when no other cell beats that."""
     if materialize_all or keep_rows or not _counted(cell):
         return _sweep_built(bounds, cell, materialize_all, keep_rows)
+    _, chi, t, _ = cell
     count = _count_certified(bounds, cell)
     top = 1 if count else 0
     result = {
         "materialized": count,
-        "labels": {"easy-large-degree": count} if count else {},
+        "labels": {cell_row(chi, t).label: count} if count else {},
         "counterexamples": [],
         "replay_failures": [],
         "first1": (top, []),
@@ -722,13 +719,14 @@ def _finish_cell(cell, result: dict, certified: bool) -> dict:
     certificates, reporting each that fails a statement."""
     p, chi, t, quasi = cell
     key = {"p": p, "chi": chi, "t": t, "quasi_elliptic": quasi}
+    row = cell_row(chi, t)
     entries = []
-    for cert in class_certificates(chi, t) if certified else ():
+    for cert in row.certificates if certified else ():
         ok = cert.statements_pass()
         entries.append(
             {
                 "name": cert.name,
-                "label": cert.label,
+                "label": row.label,
                 "cell": key,
                 "statements_ok": ok,
                 "first_ge1_ceiling": cert.bound.first_at_least(1, 14),

@@ -16,14 +16,18 @@ from plurigenera import (
 )
 from plurigenera.cases import (
     case4_sharp_family,
-    class_certificates,
+    cell_row,
     exact_form,
     form_dominates,
     replay_type,
     section4_label,
 )
 from plurigenera.congruence import QuasiLinearForm
-from plurigenera.verifier import _cell_order, _materialize_certified
+from plurigenera.verifier import (
+    _cell_order,
+    _cell_types_material,
+    _materialize_certified,
+)
 
 
 def tame(ms, chi=0, g=0, p=0, quasi=False):
@@ -52,6 +56,20 @@ class TestLabels:
         assert section4_label(tame((), g=1, chi=1)) == "easy-positive-genus"
         assert section4_label(tame((), g=2)) == "easy-genus-ge-2"
         assert section4_label(tame((2, 2), g=1)) == "easy-genus-1"
+
+    @pytest.mark.parametrize("ms, chi, wild", [
+        ((2, 3), -1, 0), ((2, 3, 7), -3, 0), ((), -5, 0), ((), -1, 2),
+    ])
+    def test_negative_chi_is_outside_the_analysis(self, ms, chi, wild):
+        # ``wild`` fibres of torsion length 2: the last type has chi + t = 3
+        w2 = FibreDatum.wild_fibre(p=2, nu=2, e=2, t=2, a=1)
+        ty = FibrationNumericalType(
+            p=2, g=0, chi=chi, quasi_elliptic=False,
+            fibres=(w2,) * wild + tuple(FibreDatum.tame(m) for m in ms),
+        )
+        for caller in (section4_label, replay_type):
+            with pytest.raises(UnsupportedInputError, match="no cell"):
+                caller(ty)
 
     def test_sharp_families(self):
         assert case4_sharp_family((2, 5, 10)) == "2-b-2b"
@@ -166,25 +184,98 @@ class TestReplay:
                 assert rep.bound.value(n) <= max(0, form.value(n))
 
 
+H = (1, 2)
+LD = "easy-large-degree"
+# (chi, t): (label, ((certificate name, label, (const, linear, pairs)), ...))
+EXPECTED_ROWS = {
+    (0, 0): ("case4", (("case4-r-ge-5", "case4", (1, -2, (H,) * 5)),)),
+    (0, 1): ("case3", (("case3-r-ge-4", "case3", (1, -1, (H,) * 3)),)),
+    (0, 2): ("case2", (("case2-max-coefficient", "case2", (1, 0, (H,))),)),
+    (0, 3): (LD, ((LD, LD, (1, 1, ())),)),
+    (0, 4): (LD, ((LD, LD, (1, 2, ())),)),
+    (0, 5): (LD, ((LD, LD, (1, 3, ())),)),
+    (1, 0): ("case3-tame", (
+        ("case3-tame-r-2", "case3-tame", (1, -1, (H, (2, 3)))),
+        ("case3-tame-r-ge-3", "case3-tame", (1, -1, (H,) * 3)),
+    )),
+    (1, 1): ("case1", (("case1-max-coefficient", "case1", (1, 0, (H,))),)),
+    (1, 2): (LD, ((LD, LD, (1, 1, ())),)),
+    (1, 3): (LD, ((LD, LD, (1, 2, ())),)),
+    (1, 4): (LD, ((LD, LD, (1, 3, ())),)),
+    (1, 5): (LD, ((LD, LD, (1, 4, ())),)),
+    (2, 0): ("easy-chi-2", (("easy-chi-2", "easy-chi-2", (1, 0, (H,))),)),
+    (2, 1): (LD, ((LD, LD, (1, 1, ())),)),
+    (2, 2): (LD, ((LD, LD, (1, 2, ())),)),
+    (2, 3): (LD, ((LD, LD, (1, 3, ())),)),
+    (2, 4): (LD, ((LD, LD, (1, 4, ())),)),
+    (2, 5): (LD, ((LD, LD, (1, 5, ())),)),
+    (3, 0): (LD, ((LD, LD, (1, 1, ())),)),
+    (3, 1): (LD, ((LD, LD, (1, 2, ())),)),
+    (3, 2): (LD, ((LD, LD, (1, 3, ())),)),
+    (3, 3): (LD, ((LD, LD, (1, 4, ())),)),
+    (3, 4): (LD, ((LD, LD, (1, 5, ())),)),
+    (3, 5): (LD, ((LD, LD, (1, 6, ())),)),
+    (4, 0): (LD, ((LD, LD, (1, 2, ())),)),
+    (4, 1): (LD, ((LD, LD, (1, 3, ())),)),
+    (4, 2): (LD, ((LD, LD, (1, 4, ())),)),
+    (4, 3): (LD, ((LD, LD, (1, 5, ())),)),
+    (4, 4): (LD, ((LD, LD, (1, 6, ())),)),
+    (4, 5): (LD, ((LD, LD, (1, 7, ())),)),
+    (5, 0): (LD, ((LD, LD, (1, 3, ())),)),
+    (5, 1): (LD, ((LD, LD, (1, 4, ())),)),
+    (5, 2): (LD, ((LD, LD, (1, 5, ())),)),
+    (5, 3): (LD, ((LD, LD, (1, 6, ())),)),
+    (5, 4): (LD, ((LD, LD, (1, 7, ())),)),
+    (5, 5): (LD, ((LD, LD, (1, 8, ())),)),
+}
+
+
+def _check_coverage(bounds, cells) -> int:
+    """Assert that every admissible type of the cells is either
+    materialized by the certified sweep or termwise-dominated by a
+    certificate of its row; return how many were dominated."""
+    checked = 0
+    for cell in cells:
+        p, chi, t, quasi = cell
+        materialized = set(_materialize_certified(bounds, cell))
+        certs = cell_row(chi, t).certificates
+        for ty in _cell_types_material(bounds, cell, None):
+            if ty in materialized:
+                continue
+            assert any(
+                form_dominates(exact_form(ty), cert.bound) for cert in certs
+            ), (cell, ty)
+            checked += 1
+    return checked
+
+
 class TestClassCertificates:
+    def test_rows_are_the_case_analysis(self):
+        for (chi, t), (label, certs) in EXPECTED_ROWS.items():
+            row = cell_row(chi, t)
+            assert row.label == label
+            assert tuple(
+                (c.name, row.label, (c.bound.const, c.bound.linear, c.bound.pairs))
+                for c in row.certificates
+            ) == certs
+
     def test_all_certificates_pass_statements(self):
         for chi in range(0, 5):
             for t in range(0, 5 - chi):
-                for cert in class_certificates(chi, t):
+                for cert in cell_row(chi, t).certificates:
                     assert cert.statements_pass(), cert.name
 
     def test_certificates_cover_everything_not_materialized(self):
-        # every admissible type is either materialized by the certified
-        # sweep or termwise-dominated by a certificate of its cell
-        for cell in _cell_order(SMALL):
-            p, chi, t, quasi = cell
-            materialized = set(_materialize_certified(SMALL, cell))
-            certs = class_certificates(chi, t)
-            from plurigenera.verifier import _cell_types_material
+        assert _check_coverage(SMALL, _cell_order(SMALL)) > 0
 
-            for ty in _cell_types_material(SMALL, cell, None):
-                if ty in materialized:
-                    continue
-                assert any(
-                    form_dominates(exact_form(ty), cert.bound) for cert in certs
-                ), (cell, ty)
+    @pytest.mark.parametrize(
+        "chi, t", [(chi, t) for chi in range(4) for t in range(4 - chi)]
+    )
+    def test_certificates_cover_everything_past_the_residual(self, chi, t):
+        # room for two tame fibres more than the row's residual takes
+        # (none when the row has no residual), so types the sweep leaves
+        # to the certificates exist
+        cap = cell_row(chi, t).tame_cap or 0
+        bounds = EnumerationBounds(10, t + cap + 2, chi + t, (0, 2, 3))
+        cells = [cell for cell in _cell_order(bounds) if cell[1:3] == (chi, t)]
+        assert _check_coverage(bounds, cells) > 0
