@@ -47,6 +47,16 @@ first1 or first2 is at most 1 (as at ``max_fibres=1``), when the
 attainer lists include every counted type.  ``materialized`` and
 ``total_materialized`` count the covered types, built or counted.  The
 material mode and ``enumerate_types`` build every type.
+
+Both sweep modes sweep each tame class - the cells with t = 0 and one
+(chi, quasi_elliptic), which differ only in p - once, in its first cell,
+and re-key that result for the class's other cells
+(``_with_characteristic``).  That is exact: nothing a tame type meets
+reads p.  ``_fibre_violations`` returns from its tame branch before it
+reads p; the slope, condition U, ``_finalize`` (which acts on t_j = 2
+fibres only), ``cell_row(chi, t)`` and the tame branches of
+``replay_type`` do not read it; and quasi-elliptic cells exist only for
+p in {2, 3}, which both pass the quasi-elliptic characteristic rule.
 """
 
 from __future__ import annotations
@@ -110,28 +120,32 @@ def _h1_at_most_one(g: int, chi: int, t: int) -> bool:
 
 
 @lru_cache(maxsize=FIBRE_RULE_CACHE_SIZE)
-def _fibre_violations(f: FibreDatum, p: int, h1_flag: bool) -> tuple[str, ...]:
-    """The named violations of one fibre's local rules in characteristic
-    ``p``, in ``is_admissible`` order."""
+def _fibre_violations(
+    m: int, a: int, nu: int, e: int, t: int, p: int, h1_flag: bool
+) -> tuple[str, ...]:
+    """The named violations of the local rules of the fibre (m, a, nu, e,
+    t) in characteristic ``p``, in ``is_admissible`` order.  Keyed on the
+    integer fields rather than the ``FibreDatum``, so that a cache lookup
+    hashes and compares plain integers."""
     violations = []
-    if f.t == 0:
-        if f.nu != f.m or f.e != 0:
+    if t == 0:
+        if nu != m or e != 0:
             violations.append("tame-torsion-order")
-        if f.a != f.m - 1:
+        if a != m - 1:
             violations.append("tame-coefficient")
         return tuple(violations)
     if p == 0:
         return ("wild-char-zero",)
-    power_ok = f.e >= 1 and f.m == f.nu * p**f.e
+    power_ok = e >= 1 and m == nu * p**e
     if not power_ok:
         violations.append("wild-power-relation")
-    elif f.t not in achievable_torsion_lengths(f.nu, f.e, p):
+    elif t not in achievable_torsion_lengths(nu, e, p):
         violations.append("wild-torsion-length")
-    if (f.a + 1) % f.nu != 0:
+    if (a + 1) % nu != 0:
         violations.append("coefficient-divisibility")
     elif power_ok:
-        allowed = admissible_coefficients(f.m, f.nu, p, f.t, h1_flag)
-        if f.a not in allowed:
+        allowed = admissible_coefficients(m, nu, p, t, h1_flag)
+        if a not in allowed:
             violations.append("wild-coefficient")
     return tuple(violations)
 
@@ -139,17 +153,17 @@ def _fibre_violations(f: FibreDatum, p: int, h1_flag: bool) -> tuple[str, ...]:
 def is_admissible(t: FibrationNumericalType) -> AdmissibilityReport:
     """Apply every model rule and report all named violations.
 
-    The local rules of each fibre are memoized per (fibre, p, h1 flag) in
-    a least-recently-used cache of ``FIBRE_RULE_CACHE_SIZE`` entries.  The
-    slope d + sum a_i/m_i is positive iff d*L + sum a_i*(L/m_i) is, with
-    L = lcm(m_i)."""
+    The local rules of each fibre are memoized per (fibre fields, p, h1
+    flag) in a least-recently-used cache of ``FIBRE_RULE_CACHE_SIZE``
+    entries.  The slope d + sum a_i/m_i is positive iff
+    d*L + sum a_i*(L/m_i) is, with L = lcm(m_i)."""
     violations: list[str] = []
     if t.chi < 0:
         violations.append("chi-negative")
     tl = t.torsion_length
     h1_flag = _h1_at_most_one(t.g, t.chi, tl)
     for f in t.fibres:
-        violations.extend(_fibre_violations(f, t.p, h1_flag))
+        violations.extend(_fibre_violations(f.m, f.a, f.nu, f.e, f.t, t.p, h1_flag))
     d = 2 * t.g - 2 + t.chi + tl  # delta_degree(t)
     big_l = lcm(*(f.m for f in t.fibres))
     if d * big_l + sum(f.a * (big_l // f.m) for f in t.fibres) <= 0:
@@ -481,12 +495,12 @@ def _cell_types_material(bounds: EnumerationBounds, cell, guard: int | None):
     return _cell_types(bounds, cell, bounds.max_fibres, guard)
 
 
-def _map_cells(work, bounds: EnumerationBounds, jobs: int, *args) -> list:
-    """``work(bounds, cell, *args)`` for every cell, in canonical cell
+def _map_cells(work, bounds: EnumerationBounds, cells, jobs: int, *args) -> list:
+    """``work(bounds, cell, *args)`` for every cell of ``cells``, in that
     order.  With ``jobs > 1`` the cells run in a pool of spawned worker
     processes, at most one per cell and one per CPU; cells are
     independent, so the results do not depend on ``jobs``."""
-    tasks = [(bounds, cell, *args) for cell in _cell_order(bounds)]
+    tasks = [(bounds, cell, *args) for cell in cells]
     processes = min(jobs, len(tasks), os.cpu_count() or 1)
     if processes <= 1:
         return [work(*task) for task in tasks]
@@ -508,7 +522,7 @@ def enumerate_types_parallel(
 ) -> list[FibrationNumericalType]:
     """Partitioned materialization; the result is identical for any
     ``jobs`` value (cells are independent and reassembled in order)."""
-    cells = _map_cells(_cell_types_material, bounds, jobs, guard)
+    cells = _map_cells(_cell_types_material, bounds, _cell_order(bounds), jobs, guard)
     return [ty for types in cells for ty in types]
 
 
@@ -609,7 +623,11 @@ def _count_certified(bounds: EnumerationBounds, cell) -> int:
     # the coefficient choices per (m, nu) shape of each menu
     h1_flag = _h1_at_most_one(0, chi, t)
     ones, twos = (
-        Counter((f.m, f.nu) for f in raw[t_j] if not _fibre_violations(f, p, h1_flag))
+        Counter(
+            (f.m, f.nu)
+            for f in raw[t_j]
+            if not _fibre_violations(f.m, f.a, f.nu, f.e, f.t, p, h1_flag)
+        )
         for t_j in (1, 2)
     )
     if chi != 0 or quasi:
@@ -741,6 +759,40 @@ def _finish_cell(cell, result: dict, certified: bool) -> dict:
     return result
 
 
+def _tame_representatives(cells) -> dict:
+    """The cell each cell's result is taken from: the first cell of its
+    tame class - the tame cells (t = 0) with its (chi, quasi_elliptic) -
+    for a tame cell, and the cell itself for a wild one."""
+    first: dict[tuple[int, bool], tuple] = {}
+    return {
+        cell: first.setdefault((cell[1], cell[3]), cell) if cell[2] == 0 else cell
+        for cell in cells
+    }
+
+
+def _with_characteristic(result: dict, p: int) -> dict:
+    """A tame cell's result re-keyed to characteristic ``p``: the ``p`` of
+    the cell key and of every type dict is replaced, nothing else."""
+
+    def with_p(d: dict) -> dict:  # a type dict or a cell key
+        return {**d, "p": p}
+
+    def entry(e: dict) -> dict:  # carries a type dict or a cell key
+        return {k: with_p(v) if k in ("type", "cell") else v for k, v in e.items()}
+
+    return {
+        **result,
+        "cell": with_p(result["cell"]),
+        "certified": [entry(e) for e in result["certified"]],
+        "counterexamples": [entry(e) for e in result["counterexamples"]],
+        "replay_failures": [entry(e) for e in result["replay_failures"]],
+        "first1": (result["first1"][0], [with_p(ty) for ty in result["first1"][1]]),
+        "first2": (result["first2"][0], [with_p(ty) for ty in result["first2"][1]]),
+        "p13_le_1": [with_p(ty) for ty in result["p13_le_1"]],
+        "rows": [entry(row) for row in result["rows"]],
+    }
+
+
 def verify_all(
     bounds: EnumerationBounds,
     jobs: int = 1,
@@ -749,8 +801,25 @@ def verify_all(
 ) -> dict:
     """Sweep all cells and aggregate.  The report is identical for any
     ``jobs`` value: cells are independent work units, merged in canonical
-    cell order."""
-    results = _map_cells(_sweep_cell, bounds, jobs, materialize_all, keep_rows)
+    cell order.
+
+    Each tame class is swept once, in its first cell, and the class's
+    other cells take that result re-keyed to their characteristic
+    (``_with_characteristic``): no rule, bound or replay that a tame type
+    meets reads p."""
+    cells = _cell_order(bounds)
+    source = _tame_representatives(cells)
+    swept = [cell for cell in cells if source[cell] == cell]
+    done = dict(
+        zip(
+            swept,
+            _map_cells(_sweep_cell, bounds, swept, jobs, materialize_all, keep_rows),
+        )
+    )
+    results = [
+        done.get(cell) or _with_characteristic(done[source[cell]], cell[0])
+        for cell in cells
+    ]
     top1 = max((res["first1"][0] for res in results), default=0)
     top2 = max((res["first2"][0] for res in results), default=0)
     if min(top1, top2) <= 1:
@@ -760,7 +829,7 @@ def verify_all(
             _sweep_built(bounds, cell, materialize_all=False, keep_rows=False)
             if res["counted"]
             else res
-            for cell, res in zip(_cell_order(bounds), results)
+            for cell, res in zip(cells, results)
         ]
 
     labels: dict[str, int] = {}

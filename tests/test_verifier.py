@@ -418,6 +418,37 @@ class TestEnumeration:
         ) is True
 
 
+def _fake_pool(monkeypatch, cpus):
+    """Replace the process pool by a fake that runs the cells serially in
+    this process, on a machine with ``cpus`` CPUs; returns the list the
+    fake appends each pool size to."""
+    import multiprocessing
+
+    from plurigenera import verifier
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, work, tasks):
+            return [work(*task) for task in tasks]
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: cpus)
+    return sizes
+
+
 class TestSweep:
     SMALL = EnumerationBounds(
         max_mult=10, max_fibres=4, max_chi_plus_t=2, characteristics=(0, 2, 3)
@@ -454,35 +485,15 @@ class TestSweep:
     def test_pool_is_bounded_by_cpus_and_cells(
         self, monkeypatch, cpus, max_chi_plus_t, pools
     ):
-        # a fake context records the pool size and runs the cells serially
-        import multiprocessing
-
         from plurigenera import verifier
 
-        sizes = []
-
-        class FakePool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def starmap(self, work, tasks):
-                return [work(*task) for task in tasks]
-
-        class FakeContext:
-            Pool = FakePool
-
-        monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
-        monkeypatch.setattr(verifier.os, "cpu_count", lambda: cpus)
+        sizes = _fake_pool(monkeypatch, cpus)
         bounds = EnumerationBounds(
             max_chi_plus_t=max_chi_plus_t, characteristics=(0, 2, 3)
         )
-        cells = verifier._map_cells(lambda bounds, cell: cell, bounds, 5000)
+        cells = verifier._map_cells(
+            lambda bounds, cell: cell, bounds, verifier._cell_order(bounds), 5000
+        )
         assert cells == verifier._cell_order(bounds)
         assert sizes == pools
 
@@ -662,6 +673,101 @@ class TestCountedCells:
         result = verifier._sweep_cell(EnumerationBounds(), cell, False)
         assert result["materialized"] > 0
         assert calls == {"is_admissible": 0, "construct": 0}
+
+
+class TestTameClasses:
+    """``verify_all`` sweeps each tame class - the cells with t = 0 and one
+    (chi, quasi_elliptic) - once, in its first cell, and re-keys that
+    result for the class's other characteristics."""
+
+    CASES = [
+        (EnumerationBounds(), False, False),
+        # quasi-elliptic classes, no p = 0
+        (EnumerationBounds(10, 5, 4, (2, 3)), False, False),
+        (EnumerationBounds(12, 4, 2), True, False),
+        (EnumerationBounds(8, 3, 2), False, True),
+        # the counted-cell fallback (maximum first1 = 1)
+        (EnumerationBounds(10, 1, 3, (2,)), False, False),
+        (EnumerationBounds(10, 1, 3, (2, 3)), False, False),
+    ]
+
+    @pytest.mark.parametrize("bounds, materialize_all, keep_rows", CASES)
+    def test_tame_cells_match_their_rekeyed_representative(
+        self, bounds, materialize_all, keep_rows
+    ):
+        # the oracle: every tame cell swept on its own
+        from plurigenera.verifier import (
+            _cell_order,
+            _sweep_cell,
+            _tame_representatives,
+            _with_characteristic,
+        )
+
+        source = _tame_representatives(_cell_order(bounds))
+        tame = [cell for cell in source if cell[2] == 0]
+        assert tame and all(source[cell][1:] == cell[1:] for cell in source)
+        swept = {
+            cell: _sweep_cell(bounds, cell, materialize_all, keep_rows) for cell in tame
+        }
+        for cell in tame:
+            rekeyed = _with_characteristic(swept[source[cell]], cell[0])
+            assert rekeyed == swept[cell], cell
+
+    def test_rekeying_replaces_every_p_and_nothing_else(self):
+        # a result with an entry in every field that carries a type or a
+        # cell key; the sweeps above leave the failure lists empty, so
+        # entries of their shape are added here
+        import json
+
+        from plurigenera.verifier import _sweep_cell, _with_characteristic
+
+        result = _sweep_cell(EnumerationBounds(8, 3, 2), (0, 0, 0, False), False, True)
+        ty = result["p13_le_1"][0]
+        result["counterexamples"] += [
+            {"type": ty, "failed": ["stmt1"]},
+            {"certificate": "c", "cell": result["cell"]},
+        ]
+        result["replay_failures"].append({"type": ty, "claims": ["c"]})
+        for key in ("p13_le_1", "rows", "certified"):
+            assert result[key], key
+        assert result["first1"][1] and result["first2"][1]
+
+        before = json.dumps(result, sort_keys=True)
+        after = json.dumps(_with_characteristic(result, 7), sort_keys=True)
+        assert before.count('"p": 0') == before.count('"p": ') > 10
+        assert '"p": 0' not in after and after.replace('"p": 7', '"p": 0') == before
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_tame_class_is_swept_once(self, jobs, monkeypatch):
+        from plurigenera import verifier
+
+        sizes = _fake_pool(monkeypatch, 2)
+        walks, built = [], []
+        walk, sweep_built = verifier._covered_companions, verifier._sweep_built
+
+        def counting_walk(max_mult, max_size, wilds):
+            if not wilds:
+                walks.append(max_size)
+            return walk(max_mult, max_size, wilds)
+
+        def counting_built(bounds, cell, *args):
+            if cell[2] == 0:
+                built.append(cell)
+            return sweep_built(bounds, cell, *args)
+
+        monkeypatch.setattr(verifier, "_covered_companions", counting_walk)
+        monkeypatch.setattr(verifier, "_sweep_built", counting_built)
+        bounds = EnumerationBounds()
+        report = verify_all(bounds, jobs=jobs)
+        assert report["counterexamples"] == [] and report["replay_failures"] == []
+        assert sizes == ([2] if jobs == 2 else [])
+        # one (0, 0) walk, not one per characteristic
+        assert len(walks) == 1
+        classes = {
+            (chi, quasi) for _, chi, t, quasi in verifier._cell_order(bounds) if t == 0
+        }
+        assert len(built) == len(classes)
+        assert {(chi, quasi) for _, chi, _, quasi in built} == classes
 
 
 class TestSharpCases:
