@@ -36,7 +36,7 @@ from .factory import (
 from .model import FibrationNumericalType, plurigenera_series, slope
 from .verifier import (
     EnumerationBounds,
-    enumerate_types_parallel,
+    enumerate_types,
     find_sharp_cases,
     is_admissible,
     verify_all,
@@ -308,9 +308,7 @@ def _dispatch(args) -> int:
 
     if command == "enumerate":
         bounds = _bounds_from_args(args)
-        types = [
-            t.to_dict() for t in enumerate_types_parallel(bounds, jobs=args.jobs)
-        ]
+        types = [t.to_dict() for t in enumerate_types(bounds, jobs=args.jobs)]
         result = {"bounds": bounds.to_dict(), "count": len(types), "types": types}
         _emit(args, command, bounds.to_dict(), result)
         return 0

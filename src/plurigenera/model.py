@@ -320,11 +320,6 @@ def _plurigenus_terms(t: FibrationNumericalType):
     return 0, 0, t.fibres
 
 
-def _terms_value(t: FibrationNumericalType, n: int) -> int:
-    const, linear, fibres = _plurigenus_terms(t)
-    return const + linear * n + sum((n * f.a) // f.m for f in fibres)
-
-
 def plurigenus_form(t: FibrationNumericalType) -> QuasiLinearForm:
     """The form F with P_n = max(0, F(n)) for g = 0, and P_n >= F(n) for
     g >= 1 (n >= 1)."""
@@ -345,7 +340,7 @@ def plurigenus(t: FibrationNumericalType, n: int) -> PlurigenusValue:
     _check_int("n", n, 0)
     if n == 0:
         return PlurigenusValue(0, 1, True)
-    return PlurigenusValue(n, max(0, _terms_value(t, n)), t.g == 0)
+    return PlurigenusValue(n, max(0, plurigenus_form(t).value(n)), t.g == 0)
 
 
 # The longest series ``plurigenera_series`` computes (``compute --n-max``):
@@ -381,7 +376,7 @@ def generic_lower_bound(t: FibrationNumericalType, n: int) -> int:
         return 1
     ct = t.chi + t.torsion_length
     if t.g >= 1 or (ct == 2 and t.torsion_length == 0):
-        return _terms_value(t, n)
+        return plurigenus_form(t).value(n)
     if ct >= 3:
         return n + 1
     if ct == 2:

@@ -31,8 +31,7 @@ tuple of (m, nu) pairs, which is all that U reads - on integers, and a
 combination whose shape fails is rejected before any type is built;
 every other candidate goes through ``is_admissible``.
 Both modes stop with ``UnsupportedInputError`` when a cell would test
-more than ``MATERIAL_GUARD`` candidates.  ``_map_cells`` runs the cells
-serially or in a process pool, for the sweep and for the enumeration.
+more than ``MATERIAL_GUARD`` candidates.
 
 The certified mode counts the wild cells that their row covers whole
 (no residual: those with chi + t >= 3) instead of building them
@@ -48,9 +47,11 @@ attainer lists include every counted type.  ``materialized`` and
 ``total_materialized`` count the covered types, built or counted.  The
 material mode and ``enumerate_types`` build every type.
 
-Both sweep modes sweep each tame class - the cells with t = 0 and one
-(chi, quasi_elliptic), which differ only in p - once, in its first cell,
-and re-key that result for the class's other cells
+``_map_cells`` is the one cell executor, serial or in a process pool,
+for both sweep modes, ``enumerate_types`` and ``find_sharp_cases``.  It
+runs each tame class - the cells with t = 0 and one (chi,
+quasi_elliptic), which differ only in p - once, in its first cell, and
+re-keys that result for the class's other cells
 (``_with_characteristic``).  That is exact: nothing a tame type meets
 reads p.  ``_fibre_violations`` returns from its tame branch before it
 reads p; the slope, condition U, ``_finalize`` (which acts on t_j = 2
@@ -495,33 +496,69 @@ def _cell_types_material(bounds: EnumerationBounds, cell, guard: int | None):
     return _cell_types(bounds, cell, bounds.max_fibres, guard)
 
 
+def _tame_representatives(cells) -> dict:
+    """The cell each cell's result is taken from: the first cell of its
+    tame class - the tame cells (t = 0) with its (chi, quasi_elliptic) -
+    for a tame cell, and the cell itself for a wild one."""
+    first: dict[tuple[int, bool], tuple] = {}
+    return {
+        cell: first.setdefault((cell[1], cell[3]), cell) if cell[2] == 0 else cell
+        for cell in cells
+    }
+
+
+def _with_characteristic(result, p: int):
+    """A tame cell's result re-keyed to characteristic ``p``: a type is
+    rebuilt with ``p``, a dict (a type dict, a cell key or a report part)
+    gets ``p`` as its ``"p"`` entry and its other values re-keyed, a list
+    or a tuple is re-keyed element by element, and anything else is
+    returned unchanged.  A dict, list or tuple that re-keys to an equal
+    value (a fibre dict, an empty list) is returned itself, not copied."""
+    if isinstance(result, FibrationNumericalType):
+        return replace(result, p=p)
+    if isinstance(result, dict):
+        rekeyed = {
+            k: p if k == "p" else _with_characteristic(v, p) for k, v in result.items()
+        }
+    elif isinstance(result, (list, tuple)):
+        rekeyed = type(result)(_with_characteristic(v, p) for v in result)
+    else:
+        return result
+    return result if rekeyed == result else rekeyed
+
+
 def _map_cells(work, bounds: EnumerationBounds, cells, jobs: int, *args) -> list:
     """``work(bounds, cell, *args)`` for every cell of ``cells``, in that
-    order.  With ``jobs > 1`` the cells run in a pool of spawned worker
-    processes, at most one per cell and one per CPU; cells are
+    order.  Each tame class runs once, in its first cell, and its other
+    cells take that result re-keyed to their characteristic
+    (``_with_characteristic``), so ``work`` must not read p in a tame
+    cell.  With ``jobs > 1`` the runs go to a pool of spawned worker
+    processes, at most one per run and one per CPU; runs are
     independent, so the results do not depend on ``jobs``."""
-    tasks = [(bounds, cell, *args) for cell in cells]
+    source = _tame_representatives(cells)
+    runs = [cell for cell in cells if source[cell] == cell]
+    tasks = [(bounds, cell, *args) for cell in runs]
     processes = min(jobs, len(tasks), os.cpu_count() or 1)
     if processes <= 1:
-        return [work(*task) for task in tasks]
-    context = multiprocessing.get_context("spawn")
-    with context.Pool(processes=processes) as pool:
-        return pool.starmap(work, tasks)
+        results = [work(*task) for task in tasks]
+    else:
+        context = multiprocessing.get_context("spawn")
+        with context.Pool(processes=processes) as pool:
+            results = pool.starmap(work, tasks)
+    done = dict(zip(runs, results))
+    return [
+        done[cell] if cell in done else _with_characteristic(done[source[cell]], cell[0])
+        for cell in cells
+    ]
 
 
-def enumerate_types(bounds: EnumerationBounds, guard: int | None = MATERIAL_GUARD):
-    """Every admissible genus-zero type within bounds, exactly once, in
-    canonical order.  Raises when a cell would materialize more than
-    ``guard`` candidates (default five million)."""
-    for cell in _cell_order(bounds):
-        yield from _cell_types_material(bounds, cell, guard)
-
-
-def enumerate_types_parallel(
+def enumerate_types(
     bounds: EnumerationBounds, jobs: int = 1, guard: int | None = MATERIAL_GUARD
 ) -> list[FibrationNumericalType]:
-    """Partitioned materialization; the result is identical for any
-    ``jobs`` value (cells are independent and reassembled in order)."""
+    """Every admissible genus-zero type within bounds, exactly once, in
+    canonical order; the same for any ``jobs`` value.  Raises when a cell
+    would materialize more than ``guard`` candidates (default five
+    million)."""
     cells = _map_cells(_cell_types_material, bounds, _cell_order(bounds), jobs, guard)
     return [ty for types in cells for ty in types]
 
@@ -591,16 +628,19 @@ def _count_certified(bounds: EnumerationBounds, cell) -> int:
     one.  Raises like ``_cell_types`` when the cell has more than
     ``MATERIAL_GUARD`` wild combinations.
 
-    In such a cell d = chi + t - 2 >= 1, so the slope is positive and
-    the h^1 flag is fixed by (chi, t) for every type; a type is
-    admissible iff each fibre passes its local rules and, when chi = 0
-    and the fibration is elliptic, its (m, nu) shape satisfies condition
-    U.  So the count is a sum over the torsion partitions of products of
-    multiset counts of the per-t_j menus, each U-passing shape weighted by
-    its coefficient choices.  The premise is read from the cell's row: it
-    has no residual, and its one certificate (1 + n*d) bounds every type
-    termwise by a floor-free form that is nondecreasing and >= 2 from
-    n = 1 on, so no type fails a statement or its replay, and P_13 >= 2."""
+    In such a cell d = chi + t - 2 >= 1, so the slope is positive, and
+    every fibre of the ``_wild_data`` menus passes its local rules: the
+    menus are built by those rules with the h^1 flag off, t_j = 1
+    coefficients do not read the flag, and a t_j = 2 fibre means t >= 2,
+    where the flag is off.  So every wild combination is admissible
+    unless chi = 0, the fibration is elliptic and its (m, nu) shape fails
+    condition U; there the count is a sum over the torsion partitions of
+    products of multiset counts of the per-t_j menus, each U-passing
+    shape weighted by its coefficient choices.  The premise is read from
+    the cell's row: it has no residual, and its one certificate (1 + n*d)
+    bounds every type termwise by a floor-free form that is nondecreasing
+    and >= 2 from n = 1 on, so no type fails a statement or its replay,
+    and P_13 >= 2."""
     p, chi, t, quasi = cell
     row = cell_row(chi, t)
     (cert,) = row.certificates
@@ -620,21 +660,10 @@ def _count_certified(bounds: EnumerationBounds, cell) -> int:
             f"cell {cell} exceeds the materialization guard ({MATERIAL_GUARD}); "
             "tighten the bounds or use the certified sweep"
         )
-    # the coefficient choices per (m, nu) shape of each menu
-    h1_flag = _h1_at_most_one(0, chi, t)
-    ones, twos = (
-        Counter(
-            (f.m, f.nu)
-            for f in raw[t_j]
-            if not _fibre_violations(f.m, f.a, f.nu, f.e, f.t, p, h1_flag)
-        )
-        for t_j in (1, 2)
-    )
     if chi != 0 or quasi:
-        return sum(
-            _multichoose(ones.total(), k1) * _multichoose(twos.total(), k2)
-            for k1, k2 in partitions
-        )
+        return combinations
+    # the coefficient choices per (m, nu) shape of each menu
+    ones, twos = (Counter((f.m, f.nu) for f in raw[t_j]) for t_j in (1, 2))
     # condition U reads the (m, nu) shape alone; partitions differ in
     # their number of fibres, so each shape is decided exactly once
     total = 0
@@ -759,67 +788,17 @@ def _finish_cell(cell, result: dict, certified: bool) -> dict:
     return result
 
 
-def _tame_representatives(cells) -> dict:
-    """The cell each cell's result is taken from: the first cell of its
-    tame class - the tame cells (t = 0) with its (chi, quasi_elliptic) -
-    for a tame cell, and the cell itself for a wild one."""
-    first: dict[tuple[int, bool], tuple] = {}
-    return {
-        cell: first.setdefault((cell[1], cell[3]), cell) if cell[2] == 0 else cell
-        for cell in cells
-    }
-
-
-def _with_characteristic(result: dict, p: int) -> dict:
-    """A tame cell's result re-keyed to characteristic ``p``: the ``p`` of
-    the cell key and of every type dict is replaced, nothing else."""
-
-    def with_p(d: dict) -> dict:  # a type dict or a cell key
-        return {**d, "p": p}
-
-    def entry(e: dict) -> dict:  # carries a type dict or a cell key
-        return {k: with_p(v) if k in ("type", "cell") else v for k, v in e.items()}
-
-    return {
-        **result,
-        "cell": with_p(result["cell"]),
-        "certified": [entry(e) for e in result["certified"]],
-        "counterexamples": [entry(e) for e in result["counterexamples"]],
-        "replay_failures": [entry(e) for e in result["replay_failures"]],
-        "first1": (result["first1"][0], [with_p(ty) for ty in result["first1"][1]]),
-        "first2": (result["first2"][0], [with_p(ty) for ty in result["first2"][1]]),
-        "p13_le_1": [with_p(ty) for ty in result["p13_le_1"]],
-        "rows": [entry(row) for row in result["rows"]],
-    }
-
-
 def verify_all(
     bounds: EnumerationBounds,
     jobs: int = 1,
     materialize_all: bool = False,
     keep_rows: bool = False,
 ) -> dict:
-    """Sweep all cells and aggregate.  The report is identical for any
-    ``jobs`` value: cells are independent work units, merged in canonical
-    cell order.
-
-    Each tame class is swept once, in its first cell, and the class's
-    other cells take that result re-keyed to their characteristic
-    (``_with_characteristic``): no rule, bound or replay that a tame type
-    meets reads p."""
+    """Sweep all cells through ``_map_cells`` and aggregate.  The report
+    is identical for any ``jobs`` value: cells are independent work
+    units, merged in canonical cell order."""
     cells = _cell_order(bounds)
-    source = _tame_representatives(cells)
-    swept = [cell for cell in cells if source[cell] == cell]
-    done = dict(
-        zip(
-            swept,
-            _map_cells(_sweep_cell, bounds, swept, jobs, materialize_all, keep_rows),
-        )
-    )
-    results = [
-        done.get(cell) or _with_characteristic(done[source[cell]], cell[0])
-        for cell in cells
-    ]
+    results = _map_cells(_sweep_cell, bounds, cells, jobs, materialize_all, keep_rows)
     top1 = max((res["first1"][0] for res in results), default=0)
     top2 = max((res["first2"][0] for res in results), default=0)
     if min(top1, top2) <= 1:
@@ -895,17 +874,24 @@ _PREDICATES = {
 }
 
 
+def _sharp_cell(bounds: EnumerationBounds, cell, predicate_id: str) -> list:
+    """The types of one cell that satisfy a named sharpness predicate."""
+    pred = _PREDICATES[predicate_id]
+    return [
+        ty
+        for ty in _cell_types_material(bounds, cell, MATERIAL_GUARD)
+        if pred(exact_form(ty).series(13))
+    ]
+
+
 def find_sharp_cases(bounds: EnumerationBounds, predicate_id: str):
     """All admissible enumerated types satisfying a named sharpness
-    predicate (full materialization within the given bounds)."""
+    predicate (full materialization within the given bounds, one cell at
+    a time, keeping only the hits)."""
     if predicate_id not in _PREDICATES:
         raise InvalidInputError(
             f"unknown predicate {predicate_id!r}; choose from "
             f"{sorted(_PREDICATES)}"
         )
-    pred = _PREDICATES[predicate_id]
-    hits = []
-    for ty in enumerate_types(bounds):
-        if pred(exact_form(ty).series(13)):
-            hits.append(ty)
-    return hits
+    cells = _map_cells(_sharp_cell, bounds, _cell_order(bounds), 1, predicate_id)
+    return [ty for hits in cells for ty in hits]

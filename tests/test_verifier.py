@@ -478,9 +478,12 @@ class TestSweep:
     def test_jobs_determinism(self):
         assert verify_all(self.SMALL, jobs=1) == verify_all(self.SMALL, jobs=3)
 
+    # over characteristics (0, 2, 3), chi + t <= 0 is 3 tame cells in one
+    # class, so 1 run and no pool; chi + t <= 1 is 10 cells in 5 runs
+    # (3 tame classes, 2 wild cells)
     @pytest.mark.parametrize(
         "cpus, max_chi_plus_t, pools",
-        [(2, 40, [2]), (8, 0, [3]), (1, 40, []), (None, 40, [])],
+        [(2, 40, [2]), (8, 0, []), (1, 40, []), (None, 40, []), (8, 1, [5])],
     )
     def test_pool_is_bounded_by_cpus_and_cells(
         self, monkeypatch, cpus, max_chi_plus_t, pools
@@ -491,10 +494,16 @@ class TestSweep:
         bounds = EnumerationBounds(
             max_chi_plus_t=max_chi_plus_t, characteristics=(0, 2, 3)
         )
-        cells = verifier._map_cells(
-            lambda bounds, cell: cell, bounds, verifier._cell_order(bounds), 5000
+        # the probe's result carries p where the re-keyer replaces it
+        results = verifier._map_cells(
+            lambda bounds, cell: {"p": cell[0], "rest": cell[1:]},
+            bounds,
+            verifier._cell_order(bounds),
+            5000,
         )
-        assert cells == verifier._cell_order(bounds)
+        assert results == [
+            {"p": cell[0], "rest": cell[1:]} for cell in verifier._cell_order(bounds)
+        ]
         assert sizes == pools
 
     def test_statement_witnesses_match_a_scan_from_one(self):
@@ -676,9 +685,10 @@ class TestCountedCells:
 
 
 class TestTameClasses:
-    """``verify_all`` sweeps each tame class - the cells with t = 0 and one
-    (chi, quasi_elliptic) - once, in its first cell, and re-keys that
-    result for the class's other characteristics."""
+    """The cell executor runs each tame class - the cells with t = 0 and
+    one (chi, quasi_elliptic) - once, in its first cell, and re-keys that
+    result for the class's other characteristics: for the sweep, the
+    enumeration and the sharp cases."""
 
     CASES = [
         (EnumerationBounds(), False, False),
@@ -689,6 +699,12 @@ class TestTameClasses:
         # the counted-cell fallback (maximum first1 = 1)
         (EnumerationBounds(10, 1, 3, (2,)), False, False),
         (EnumerationBounds(10, 1, 3, (2, 3)), False, False),
+    ]
+    # the bounds of CASES with tame classes of several cells, but the
+    # default ones, whose tame cells are past the guard (chi >= 1) or take
+    # over a minute each to enumerate (chi = 0)
+    ENUMERATED = [
+        bounds for bounds, _, _ in CASES[1:] if len(bounds.characteristics) > 1
     ]
 
     @pytest.mark.parametrize("bounds, materialize_all, keep_rows", CASES)
@@ -733,9 +749,23 @@ class TestTameClasses:
         assert result["first1"][1] and result["first2"][1]
 
         before = json.dumps(result, sort_keys=True)
-        after = json.dumps(_with_characteristic(result, 7), sort_keys=True)
+        rekeyed = _with_characteristic(result, 7)
+        after = json.dumps(rekeyed, sort_keys=True)
         assert before.count('"p": 0') == before.count('"p": ') > 10
         assert '"p": 0' not in after and after.replace('"p": 7', '"p": 0') == before
+        # parts without a p are shared, not copied
+        assert rekeyed["p13_le_1"][0]["fibres"] is ty["fibres"]
+
+        # the types of an enumeration cell, in a list and in a tuple
+        types = [T266, T2510, tame((2, 3), chi=1, p=2, quasi=True)]
+        for seq in (types, tuple(types)):
+            rekeyed = _with_characteristic(seq, 3)
+            assert type(rekeyed) is type(seq)
+            assert [ty.p for ty in rekeyed] == [3, 3, 3]
+            assert [{**ty.to_dict(), "p": 0} for ty in rekeyed] == [
+                {**ty.to_dict(), "p": 0} for ty in seq
+            ]
+            assert [ty.torsion_length for ty in rekeyed] == [0, 0, 0]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_each_tame_class_is_swept_once(self, jobs, monkeypatch):
@@ -768,6 +798,75 @@ class TestTameClasses:
         }
         assert len(built) == len(classes)
         assert {(chi, quasi) for _, chi, _, quasi in built} == classes
+
+    @pytest.mark.parametrize("bounds", ENUMERATED)
+    def test_enumerated_tame_cells_match_their_rekeyed_representative(self, bounds):
+        # the oracle: every tame cell enumerated on its own
+        from plurigenera.verifier import (
+            _cell_order,
+            _cell_types_material,
+            _tame_representatives,
+            _with_characteristic,
+        )
+
+        source = _tame_representatives(_cell_order(bounds))
+        tame = [cell for cell in source if cell[2] == 0]
+        built = {cell: _cell_types_material(bounds, cell, None) for cell in tame}
+        assert len(set(map(source.get, tame))) < len(tame)
+        assert any(built.values())
+        for cell in tame:
+            assert _with_characteristic(built[source[cell]], cell[0]) == built[cell]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_tame_class_is_enumerated_once(self, jobs, monkeypatch):
+        from plurigenera import verifier
+
+        bounds = EnumerationBounds(12, 4, 2)
+        expected = [
+            ty
+            for cell in verifier._cell_order(bounds)
+            for ty in verifier._cell_types_material(bounds, cell, None)
+        ]
+        sizes = _fake_pool(monkeypatch, 2)
+        tame = []
+        material = verifier._cell_types_material
+
+        def counting_material(bounds, cell, guard):
+            if cell[2] == 0:
+                tame.append(cell)
+            return material(bounds, cell, guard)
+
+        monkeypatch.setattr(verifier, "_cell_types_material", counting_material)
+        assert enumerate_types(bounds, jobs=jobs) == expected
+        assert sizes == ([2] if jobs == 2 else [])
+        all_tame = [cell for cell in verifier._cell_order(bounds) if cell[2] == 0]
+        assert len(all_tame) == 19
+        assert len(tame) == 5
+        assert {cell[1:] for cell in tame} == {cell[1:] for cell in all_tame}
+
+    @pytest.mark.parametrize(
+        "predicate", ["p123-zero", "pn-le-1-through-7", "p13-equals-1"]
+    )
+    def test_sharp_cases_match_a_per_cell_filter(self, predicate):
+        from plurigenera.model import exact_form
+        from plurigenera.verifier import (
+            _PREDICATES,
+            _cell_order,
+            _cell_types_material,
+        )
+
+        bounds = EnumerationBounds(12, 4, 1, (0, 2, 3))
+        pred = _PREDICATES[predicate]
+        expected = [
+            ty
+            for cell in _cell_order(bounds)
+            for ty in _cell_types_material(bounds, cell, None)
+            if pred(exact_form(ty).series(13))
+        ]
+        hits = find_sharp_cases(bounds, predicate)
+        assert hits == expected
+        # hits in tame cells past the first characteristic are re-keyed
+        assert {ty.p for ty in hits if ty.torsion_length == 0} == {0, 2, 3}
 
 
 class TestSharpCases:
