@@ -20,32 +20,35 @@ wild configurations), are materialized and checked one by one.
 ``materialize_all=True`` enumerates every admissible type in bounds
 instead; it is exact but only practical for small bounds.
 
-Both modes generate candidates through one loop, ``_cell_types``: each
-wild combination of a cell with its tame companions, drawn from the
-condition-U walk when chi = 0 and from all multisets otherwise.  The
-material mode lets the companions fill every free fibre slot; the
-certified mode caps them at the row's ``tame_cap``.
-A combination with no free slot is tested bare.  When condition U
-applies to it (chi = 0, elliptic), U is decided once per shape - the
-tuple of (m, nu) pairs, which is all that U reads - on integers, and a
-combination whose shape fails is rejected before any type is built;
-every other candidate goes through ``is_admissible``.
-Both modes stop with ``UnsupportedInputError`` when a cell would test
-more than ``MATERIAL_GUARD`` candidates.
+The wild side of a cell comes from one generator, ``_wild_combos``.
+Condition U and the tame companions read a wild fibre's (m, nu) alone,
+so it yields each wild shape once - a tuple of ``_wild_data`` groups
+(m, nu, records), one per fibre - with its weight, the number of wild
+combinations behind it.  Both modes pair each shape with tame companions
+in one loop, ``_cell_types``: drawn from the condition-U walk when U
+applies (chi = 0, elliptic), from all multisets otherwise, and none when
+no fibre slot is free, where U is decided on integers.  Only beside a
+companion is the shape expanded into its combinations, each checked by
+``is_admissible``; a companion adds the shape's weight to the cell's
+candidates, so a bare shape that fails U is counted but never built.
+The material mode lets the companions fill every free slot; the
+certified mode caps them at the row's ``tame_cap``.  A cell that would
+test more than ``MATERIAL_GUARD`` candidates stops the sweep with
+``UnsupportedInputError``; ``enumerate_types``, ``find_sharp_cases``
+and the material sweep check every cell's multiset estimate first.
 
 The certified mode counts the wild cells that their row covers whole
-(no residual: those with chi + t >= 3) instead of building them
-(``_count_certified``).  There the base degree is d >= 1, so the row's
-one certificate, easy-large-degree (P_n >= n*d + 1), bounds every type
-termwise, and the count is a sum of multiset counts of the per-fibre
-menus, with condition U decided once per (m, nu) shape when chi = 0;
-the guard is checked against the number of wild combinations,
-arithmetically.  It builds them as before in two cases: with
-``keep_rows``, which needs a row per type, and when the sweep's maximum
-first1 or first2 is at most 1 (as at ``max_fibres=1``), when the
-attainer lists include every counted type.  ``materialized`` and
-``total_materialized`` count the covered types, built or counted.  The
-material mode and ``enumerate_types`` build every type.
+(no residual: chi + t >= 3) instead of building them
+(``_count_certified``).  There d >= 1, the row's one certificate,
+easy-large-degree (P_n >= n*d + 1), bounds every type termwise, and
+every wild combination is admissible unless U applies and its shape
+fails U.  So the count is the number of combinations, a sum of multiset
+counts of the menus that also serves as the guard, or where U applies
+the sum of the weights of the shapes that pass it.  It builds them in
+two cases: with ``keep_rows``, which needs a row per type, and when the
+sweep's maximum first1 or first2 is at most 1 (as at ``max_fibres=1``),
+when the attainer lists include every counted type.  ``materialized``
+and ``total_materialized`` count the covered types, built or counted.
 
 ``_map_cells`` is the one cell executor, serial or in a process pool,
 for both sweep modes, ``enumerate_types`` and ``find_sharp_cases``.  It
@@ -64,11 +67,10 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import combinations_with_replacement
-from math import comb, lcm
+from itertools import chain, combinations_with_replacement, groupby, product
+from math import comb, lcm, prod
 
 from .cases import (
     StatementCheck,
@@ -282,37 +284,55 @@ class EnumerationBounds:
 
 
 @lru_cache(maxsize=FIBRE_RULE_CACHE_SIZE)
-def _wild_data(p: int, t_j: int, max_mult: int) -> tuple[FibreDatum, ...]:
-    """All wild fibre records with torsion length t_j and m <= max_mult."""
-    out = []
+def _wild_data(p: int, t_j: int, max_mult: int) -> tuple[tuple, ...]:
+    """All wild fibre records with torsion length t_j and m <= max_mult,
+    grouped by their (m, nu) shape: ``(m, nu, records)`` triples sorted by
+    (m, nu), each group's records sorted by a."""
+    groups = []
     for e in (1, 2):
         q = p**e
         for nu in range(1, max_mult // q + 1):
             if t_j not in achievable_torsion_lengths(nu, e, p):
                 continue
             m = nu * q
-            for a in admissible_coefficients(m, nu, p, t_j).sorted():
-                out.append(FibreDatum(m=m, a=a, nu=nu, e=e, t=t_j))
-    return tuple(sorted(out, key=lambda f: f.sort_key))
+            records = tuple(
+                FibreDatum(m=m, a=a, nu=nu, e=e, t=t_j)
+                for a in admissible_coefficients(m, nu, p, t_j).sorted()
+            )
+            groups.append((m, nu, records))  # never empty: a = m - 1 is allowed
+    return tuple(sorted(groups, key=lambda group: group[:2]))
 
 
-def _torsion_partitions(t: int) -> list[tuple[int, int]]:
-    """(count of t_j=1 fibres, count of t_j=2 fibres) decompositions."""
-    return [(t - 2 * k2, k2) for k2 in range(t // 2 + 1)]
+def _shape_weight(shape) -> int:
+    """The number of wild combinations behind a shape."""
+    runs = groupby(shape)
+    return prod(_multichoose(len(fs), len(list(run))) for (_, _, fs), run in runs)
+
+
+def _expand(shape):
+    """The wild combinations behind a shape, each once: per run of equal
+    groups, the multisets of that size of the group's records."""
+    runs = [(fs, len(list(run))) for (_, _, fs), run in groupby(shape)]
+    for parts in product(*(combinations_with_replacement(fs, k) for fs, k in runs)):
+        yield tuple(chain.from_iterable(parts))
 
 
 def _wild_combos(p: int, t: int, max_fibres: int, max_mult: int):
+    """Every wild shape of torsion length t with at most ``max_fibres``
+    fibres, once, with its weight: its t_j = 1 groups before its t_j = 2
+    groups, and the shapes with the fewest fibres first."""
     if t == 0:
-        yield ()
+        yield (), 1
         return
-    ones = _wild_data(p, 1, max_mult)
-    twos = _wild_data(p, 2, max_mult)
-    for k1, k2 in _torsion_partitions(t):
-        if k1 + k2 > max_fibres or k1 < 0:
-            continue
-        for singles in combinations_with_replacement(ones, k1):
-            for doubles in combinations_with_replacement(twos, k2):
-                yield singles + doubles
+    ones, twos = _wild_data(p, 1, max_mult), _wild_data(p, 2, max_mult)
+    for k2 in range(t // 2, -1, -1):
+        k1 = t - 2 * k2
+        if k1 + k2 > max_fibres:
+            return
+        for shape1 in combinations_with_replacement(ones, k1):
+            weight1 = _shape_weight(shape1)
+            for shape2 in combinations_with_replacement(twos, k2):
+                yield shape1 + shape2, weight1 * _shape_weight(shape2)
 
 
 def _multisets_upto(max_mult: int, max_size: int):
@@ -327,12 +347,9 @@ def _multichoose(n: int, k: int) -> int:
     return comb(n + k - 1, k) if k else 1
 
 
-def _count_multisets_upto(max_mult: int, max_size: int) -> int:
-    return sum(_multichoose(max_mult - 1, k) for k in range(max_size + 1))
-
-
-def _covered_companions(max_mult: int, max_size: int, wilds: tuple[FibreDatum, ...]):
-    """Tame companion multisets compatible with condition U (streamed).
+def _covered_companions(max_mult: int, max_size: int, wilds):
+    """Tame companion multisets compatible with condition U (streamed),
+    beside wild fibres given by their (m, nu) pairs.
 
     Condition U_i is equivalent to: for every prime p dividing nu_i, the
     p-valuation of m_i is matched by some other fibre.  Tame fibres have
@@ -342,14 +359,14 @@ def _covered_companions(max_mult: int, max_size: int, wilds: tuple[FibreDatum, .
     as the position drops below p^b.
     """
     wild_vals: dict[int, list[int]] = {}
-    for w in wilds:
-        for q, al in factorization(w.m):
+    for m, _ in wilds:
+        for q, al in factorization(m):
             wild_vals.setdefault(q, []).append(al)
     wild_cover = {q: max(vals) for q, vals in wild_vals.items()}
     req: dict[int, int] = {}
-    for w in wilds:
-        mv = dict(factorization(w.m))
-        for q, _ in factorization(w.nu):
+    for m, nu in wilds:
+        mv = dict(factorization(m))
+        for q, _ in factorization(nu):
             v = mv[q]
             others = list(wild_vals[q])
             others.remove(v)
@@ -437,6 +454,27 @@ def _finalize(t: FibrationNumericalType) -> FibrationNumericalType:
     return t
 
 
+def _refusal(cell, reason: str) -> UnsupportedInputError:
+    return UnsupportedInputError(
+        f"cell {cell} {reason}; tighten the bounds or use the certified sweep"
+    )
+
+
+def _check_estimates(bounds: EnumerationBounds, cells, guard: int | None):
+    """Raise when a cell without condition U would test more than
+    ``guard`` tame multisets beside one wild combination, at the free slots
+    of its first shape, the one with the fewest fibres."""
+    for p, chi, t, quasi in cells:
+        if guard is None or (chi == 0 and not quasi):
+            continue
+        first = next(_wild_combos(p, t, bounds.max_fibres, bounds.max_mult), None)
+        slots = bounds.max_fibres - len(first[0]) if first else 0
+        est = sum(_multichoose(bounds.max_mult - 1, k) for k in range(slots + 1))
+        if slots and est > guard:
+            raise _refusal((p, chi, t, quasi), f"would materialize ~{est} candidate "
+                           f"types, more than the materialization guard ({guard})")
+
+
 def _cell_types(bounds: EnumerationBounds, cell, max_tame: int, guard: int | None):
     """The admissible types of one cell that pair a wild combination with
     at most ``max_tame`` tame fibres, canonically sorted.  Raises when
@@ -446,49 +484,30 @@ def _cell_types(bounds: EnumerationBounds, cell, max_tame: int, guard: int | Non
     candidates = 0
     u_applies = chi == 0 and not quasi
     tame = {m: FibreDatum.tame(m) for m in range(2, bounds.max_mult + 1)}
-    u_by_shape: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
-    for wilds in _wild_combos(p, t, bounds.max_fibres, bounds.max_mult):
-        slots = min(max_tame, bounds.max_fibres - len(wilds))
+    for shape, weight in _wild_combos(p, t, bounds.max_fibres, bounds.max_mult):
+        slots = min(max_tame, bounds.max_fibres - len(shape))
+        pairs = [(m, nu) for m, nu, _ in shape]
         if slots == 0:
-            # only the bare combination.  Condition U reads its (m, nu)
-            # pairs alone, so it is decided once per shape, on integers;
-            # a combination whose shape fails is never built, but still
-            # counts toward the guard (as the companion None).
-            companions = ((),)
-            if u_applies:
-                shape = (tuple(w.m for w in wilds), tuple(w.nu for w in wilds))
-                if shape not in u_by_shape:
-                    u_by_shape[shape] = _all_u(*shape)
-                if not u_by_shape[shape]:
-                    companions = (None,)
+            ok = not u_applies or _all_u([m for m, _ in pairs], [nu for _, nu in pairs])
+            companions = ((),) if ok else (None,)
         elif u_applies:
-            companions = _covered_companions(bounds.max_mult, slots, wilds)
+            companions = _covered_companions(bounds.max_mult, slots, pairs)
         else:
-            if guard is not None:
-                est = _count_multisets_upto(bounds.max_mult, slots)
-                if est > guard:
-                    raise UnsupportedInputError(
-                        f"cell {cell} would materialize ~{est} candidate types; "
-                        "tighten the bounds or use the certified sweep"
-                    )
             companions = _multisets_upto(bounds.max_mult, slots)
         for comp in companions:
-            candidates += 1
+            candidates += weight
             if guard is not None and candidates > guard:
-                raise UnsupportedInputError(
-                    f"cell {cell} exceeds the materialization guard ({guard}); "
-                    "tighten the bounds or use the certified sweep"
-                )
+                raise _refusal(cell, f"exceeds the materialization guard ({guard})")
             if comp is None:
                 continue
-            fibres = wilds + tuple(tame[m] for m in comp)
-            cand = FibrationNumericalType(
-                p=p, g=0, chi=chi, quasi_elliptic=quasi, fibres=fibres
-            )
-            if is_admissible(cand).admissible:
-                found.append(_finalize(cand))
-    found.sort(key=lambda x: x.sort_key)
-    return found
+            tames = tuple(tame[m] for m in comp)
+            for wilds in _expand(shape):
+                cand = FibrationNumericalType(
+                    p=p, g=0, chi=chi, quasi_elliptic=quasi, fibres=wilds + tames
+                )
+                if is_admissible(cand).admissible:
+                    found.append(_finalize(cand))
+    return sorted(found, key=lambda x: x.sort_key)
 
 
 def _cell_types_material(bounds: EnumerationBounds, cell, guard: int | None):
@@ -559,8 +578,10 @@ def enumerate_types(
     canonical order; the same for any ``jobs`` value.  Raises when a cell
     would materialize more than ``guard`` candidates (default five
     million)."""
-    cells = _map_cells(_cell_types_material, bounds, _cell_order(bounds), jobs, guard)
-    return [ty for types in cells for ty in types]
+    cells = _cell_order(bounds)
+    _check_estimates(bounds, cells, guard)
+    results = _map_cells(_cell_types_material, bounds, cells, jobs, guard)
+    return [ty for types in results for ty in types]
 
 
 # ---------------------------------------------------------------------------
@@ -613,68 +634,42 @@ def _counted(cell) -> bool:
     return t >= 1 and cell_row(chi, t).tame_cap is None
 
 
-def _shape_weight(menu: Counter, shape) -> int:
-    """The wild combinations behind a multiset of (m, nu) shapes, given
-    the number of coefficient choices of each shape in ``menu``."""
-    weight = 1
-    for key in set(shape):
-        weight *= _multichoose(menu[key], shape.count(key))
-    return weight
-
-
 def _count_certified(bounds: EnumerationBounds, cell) -> int:
     """The number of admissible types of a counted cell, equal to
     ``len(_cell_types(bounds, cell, 0, MATERIAL_GUARD))`` without building
-    one.  Raises like ``_cell_types`` when the cell has more than
-    ``MATERIAL_GUARD`` wild combinations.
+    one, as the module docstring sets out; raises like ``_cell_types``.
 
-    In such a cell d = chi + t - 2 >= 1, so the slope is positive, and
-    every fibre of the ``_wild_data`` menus passes its local rules: the
-    menus are built by those rules with the h^1 flag off, t_j = 1
-    coefficients do not read the flag, and a t_j = 2 fibre means t >= 2,
-    where the flag is off.  So every wild combination is admissible
-    unless chi = 0, the fibration is elliptic and its (m, nu) shape fails
-    condition U; there the count is a sum over the torsion partitions of
-    products of multiset counts of the per-t_j menus, each U-passing
-    shape weighted by its coefficient choices.  The premise is read from
-    the cell's row: it has no residual, and its one certificate (1 + n*d)
-    bounds every type termwise by a floor-free form that is nondecreasing
-    and >= 2 from n = 1 on, so no type fails a statement or its replay,
-    and P_13 >= 2."""
+    Every fibre of the ``_wild_data`` menus passes its local rules: they
+    are built by those rules with the h^1 flag off, t_j = 1 coefficients
+    do not read the flag, and a t_j = 2 fibre means t >= 2, where the flag
+    is off; d >= 1 makes the slope positive.  The premise is read from the
+    cell's row: no residual, and one certificate (1 + n*d) that bounds
+    every type termwise by a floor-free form, nondecreasing and >= 2 from
+    n = 1 on, so no type fails a statement or its replay, and P_13 >= 2."""
     p, chi, t, quasi = cell
     row = cell_row(chi, t)
     (cert,) = row.certificates
     bound = cert.bound
     if row.tame_cap is not None or bound.pairs or bound.linear < 0 or bound.value(1) < 2:
         raise AssertionError(f"cell {cell} is not covered whole by P_n >= 2 for n >= 1")
-    raw = {t_j: _wild_data(p, t_j, bounds.max_mult) for t_j in (1, 2)}
-    partitions = [
-        (k1, k2) for k1, k2 in _torsion_partitions(t) if k1 + k2 <= bounds.max_fibres
-    ]
+    ones, twos = (
+        sum(len(records) for _, _, records in _wild_data(p, t_j, bounds.max_mult))
+        for t_j in (1, 2)
+    )
     combinations = sum(
-        _multichoose(len(raw[1]), k1) * _multichoose(len(raw[2]), k2)
-        for k1, k2 in partitions
+        _multichoose(ones, t - 2 * k2) * _multichoose(twos, k2)
+        for k2 in range(t // 2 + 1)
+        if t - k2 <= bounds.max_fibres
     )
     if combinations > MATERIAL_GUARD:
-        raise UnsupportedInputError(
-            f"cell {cell} exceeds the materialization guard ({MATERIAL_GUARD}); "
-            "tighten the bounds or use the certified sweep"
-        )
+        raise _refusal(cell, f"exceeds the materialization guard ({MATERIAL_GUARD})")
     if chi != 0 or quasi:
         return combinations
-    # the coefficient choices per (m, nu) shape of each menu
-    ones, twos = (Counter((f.m, f.nu) for f in raw[t_j]) for t_j in (1, 2))
-    # condition U reads the (m, nu) shape alone; partitions differ in
-    # their number of fibres, so each shape is decided exactly once
-    total = 0
-    for k1, k2 in partitions:
-        for shape1 in combinations_with_replacement(sorted(ones), k1):
-            weight1 = _shape_weight(ones, shape1)
-            for shape2 in combinations_with_replacement(sorted(twos), k2):
-                shape = shape1 + shape2
-                if _all_u([m for m, _ in shape], [nu for _, nu in shape]):
-                    total += weight1 * _shape_weight(twos, shape2)
-    return total
+    return sum(
+        weight
+        for shape, weight in _wild_combos(p, t, bounds.max_fibres, bounds.max_mult)
+        if _all_u([m for m, _, _ in shape], [nu for _, nu, _ in shape])
+    )
 
 
 def _raise_max(best: tuple[int, list], value: int, attainers) -> tuple[int, list]:
@@ -798,6 +793,7 @@ def verify_all(
     is identical for any ``jobs`` value: cells are independent work
     units, merged in canonical cell order."""
     cells = _cell_order(bounds)
+    _check_estimates(bounds, cells, MATERIAL_GUARD if materialize_all else None)
     results = _map_cells(_sweep_cell, bounds, cells, jobs, materialize_all, keep_rows)
     top1 = max((res["first1"][0] for res in results), default=0)
     top2 = max((res["first2"][0] for res in results), default=0)
@@ -893,5 +889,7 @@ def find_sharp_cases(bounds: EnumerationBounds, predicate_id: str):
             f"unknown predicate {predicate_id!r}; choose from "
             f"{sorted(_PREDICATES)}"
         )
-    cells = _map_cells(_sharp_cell, bounds, _cell_order(bounds), 1, predicate_id)
-    return [ty for hits in cells for ty in hits]
+    cells = _cell_order(bounds)
+    _check_estimates(bounds, cells, MATERIAL_GUARD)
+    results = _map_cells(_sharp_cell, bounds, cells, 1, predicate_id)
+    return [ty for hits in results for ty in hits]

@@ -189,7 +189,10 @@ def _sample_admissible_types(count=200, max_lcm=2520):
     rng = random.Random(0)
     sample = []
     seen = set()
-    wild_pool = {p: _wild_data(p, 1, 12) + _wild_data(p, 2, 12) for p in (2, 3)}
+    wild_pool = {
+        p: [f for t_j in (1, 2) for _, _, fs in _wild_data(p, t_j, 12) for f in fs]
+        for p in (2, 3)
+    }
     while len(sample) < count:
         if rng.random() < 0.6:
             r = rng.randint(1, 4)

@@ -292,6 +292,12 @@ class TestErrorEnvelopes:
         if detail is not None:
             assert detail in lines[-1]
 
+    def test_enumerate_at_default_bounds_is_refused(self, capsys):
+        code, env = run_json(capsys, ["enumerate"])
+        assert code == 2
+        assert env["result"]["error"] == "unsupported-input"
+        assert "(0, 1, 0, False)" in env["result"]["message"]
+
     def test_no_seed_flag(self, capsys, type_file):
         with pytest.raises(SystemExit):
             run(["compute", "--type", type_file(T266), "--seed", "1"])

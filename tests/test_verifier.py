@@ -1,5 +1,7 @@
 """Admissibility, statement verification, enumeration, and the sweep."""
 
+import re
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
@@ -36,6 +38,25 @@ def wild_type(chi, *fibres, p=2, quasi=False):
     return FibrationNumericalType(
         p=p, g=0, chi=chi, quasi_elliptic=quasi, fibres=tuple(fibres)
     )
+
+
+def raw_wild_combinations(p, t, max_fibres, max_mult):
+    """Every bare wild combination of torsion length t with at most
+    ``max_fibres`` fibres, drawn from the flattened menus for each
+    (k1, k2) torsion partition, independently of ``_wild_combos``."""
+    if t == 0:
+        return [()]
+    ones, twos = (
+        [f for _, _, records in _wild_data(p, t_j, max_mult) for f in records]
+        for t_j in (1, 2)
+    )
+    return [
+        singles + doubles
+        for k2 in range(t // 2 + 1)
+        if t - k2 <= max_fibres
+        for singles in combinations_with_replacement(ones, t - 2 * k2)
+        for doubles in combinations_with_replacement(twos, k2)
+    ]
 
 
 T266 = tame((2, 6, 6))
@@ -311,13 +332,66 @@ class TestEnumeration:
         with pytest.raises(UnsupportedInputError):
             list(enumerate_types(bounds, guard=100))
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            enumerate_types,
+            lambda bounds: verify_all(bounds, materialize_all=True),
+            lambda bounds: find_sharp_cases(bounds, "p13-equals-1"),
+        ],
+        ids=["enumerate", "material-sweep", "sharp"],
+    )
+    def test_guard_estimates_every_cell_before_any_runs(self, run):
+        # at default bounds the (0, 1, 0) cell alone would test ~38.6
+        # million tame multisets; it is refused before the (0, 0, 0) walk
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedInputError, match=re.escape("(0, 1, 0, False)")):
+            run(EnumerationBounds())
+        assert time.perf_counter() - start < 5
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_wild_shapes_partition_the_raw_combinations(self, p):
+        from plurigenera.verifier import _expand, _wild_combos
+
+        for t in range(1, 5):
+            for max_fibres in (1, 2, 4):
+                for max_mult in (2, 4, 12):
+                    raw = raw_wild_combinations(p, t, max_fibres, max_mult)
+                    shapes = list(_wild_combos(p, t, max_fibres, max_mult))
+                    expanded = [list(_expand(shape)) for shape, _ in shapes]
+                    assert [w for _, w in shapes] == [len(e) for e in expanded]
+                    assert sum(w for _, w in shapes) == len(raw)
+                    union = {combo for combos in expanded for combo in combos}
+                    assert len(union) == sum(len(e) for e in expanded)  # disjoint
+                    assert union == set(raw)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("max_mult", [4, 12, 30])
+    def test_wild_menus_match_the_local_rules(self, p, max_mult):
+        # every raw (m, a, nu, e) with nu | m, p^e <= max_mult and a < m,
+        # filtered by the local rules with the h^1 flag off
+        exponents = [e for e in range(1, max_mult.bit_length()) if p**e <= max_mult]
+        for t_j in (1, 2):
+            expected = sorted(
+                (m, nu, t_j, a, e)
+                for m in range(2, max_mult + 1)
+                for nu in range(1, m + 1)
+                if m % nu == 0
+                for e in exponents
+                for a in range(m)
+                if not _fibre_violations(m, a, nu, e, t_j, p, False)
+            )
+            groups = _wild_data(p, t_j, max_mult)
+            menu = [f.sort_key + (f.e,) for _, _, records in groups for f in records]
+            assert menu == expected, (p, max_mult, t_j)
+            for m, nu, records in groups:
+                assert {(f.m, f.nu) for f in records} == {(m, nu)}
+
     def test_condition_u_walk_matches_brute_filter(self):
         # the descending peak-covering walk that drives chi=0 cells must
         # produce exactly the admissible set the naive generate-and-filter
         # approach does, tame and wild alike
-        from itertools import combinations_with_replacement
-
-        from plurigenera.verifier import _cell_types_material, _wild_combos
+        from plurigenera.verifier import _cell_types_material
 
         bounds = EnumerationBounds(
             max_mult=9, max_fibres=4, max_chi_plus_t=1, characteristics=(0, 2, 3)
@@ -328,7 +402,7 @@ class TestEnumeration:
                 continue
             fast = set(_cell_types_material(bounds, cell, None))
             slow = set()
-            for wilds in _wild_combos(p, t, bounds.max_fibres, bounds.max_mult):
+            for wilds in raw_wild_combinations(p, t, bounds.max_fibres, bounds.max_mult):
                 slots = bounds.max_fibres - len(wilds)
                 for k in range(slots + 1):
                     for comp in combinations_with_replacement(range(2, 10), k):
@@ -353,7 +427,7 @@ class TestEnumeration:
         # (m, nu) shape and builds only the combinations that pass, so
         # is_admissible never sees one that fails it
         from plurigenera import verifier
-        from plurigenera.verifier import _cell_types, _finalize, _wild_combos
+        from plurigenera.verifier import _cell_types, _finalize
 
         seen = []
 
@@ -369,7 +443,9 @@ class TestEnumeration:
                 cell = (p, 0, t, False)
                 raw = [
                     wild_type(0, *wilds, p=p)
-                    for wilds in _wild_combos(p, t, bounds.max_fibres, bounds.max_mult)
+                    for wilds in raw_wild_combinations(
+                        p, t, bounds.max_fibres, bounds.max_mult
+                    )
                 ]
                 reports = [is_admissible(ty) for ty in raw]
                 expected = sorted(
@@ -394,7 +470,7 @@ class TestEnumeration:
 
         from plurigenera.verifier import _covered_companions
 
-        wild = FibreDatum(m=12, a=11, nu=6, e=1, t=1)  # p = 2, t = 1
+        wild = (12, 6)  # the (m, nu) of a p = 2, t_j = 1 fibre
         seqs = [
             list(_covered_companions(30, 4, ())),
             list(_covered_companions(24, 7, ())),
@@ -577,6 +653,13 @@ class TestCountedCells:
          "602dff076b7ac401b247fcaee136e336ed872654c7ca9730f4bb61397bb878af"),
     ]
     BOUNDS = [bounds for bounds, _ in PINNED]
+    # max_mult 2 to 4, a single characteristic, and chi + t = 5
+    SMALL_BOUNDS = [
+        EnumerationBounds(2, 4, 4, (2,)),
+        EnumerationBounds(3, 3, 4, (2, 3)),
+        EnumerationBounds(4, 3, 5, (2, 3)),
+        EnumerationBounds(12, 2, 5, (2, 3, 5)),
+    ]
 
     def test_multichoose(self):
         from plurigenera.verifier import _multichoose
@@ -585,7 +668,7 @@ class TestCountedCells:
         assert _multichoose(0, 2) == 0
         assert _multichoose(3, 2) == len(list(combinations_with_replacement(range(3), 2)))
 
-    @pytest.mark.parametrize("bounds", BOUNDS)
+    @pytest.mark.parametrize("bounds", BOUNDS + SMALL_BOUNDS)
     def test_count_matches_built_types(self, bounds):
         from plurigenera.verifier import (
             MATERIAL_GUARD,
@@ -637,11 +720,11 @@ class TestCountedCells:
     @pytest.mark.parametrize("cell", [(2, 0, 4, False), (3, 1, 3, True)])
     def test_guard_counts_raw_combinations(self, cell, monkeypatch):
         from plurigenera import verifier
-        from plurigenera.verifier import _sweep_cell, _wild_combos
+        from plurigenera.verifier import _sweep_cell
 
         bounds = EnumerationBounds(12, 4, 4, (2, 3))
         p, _, t, _ = cell
-        raw = len(list(_wild_combos(p, t, bounds.max_fibres, bounds.max_mult)))
+        raw = len(raw_wild_combinations(p, t, bounds.max_fibres, bounds.max_mult))
         monkeypatch.setattr(verifier, "MATERIAL_GUARD", raw - 1)
         with pytest.raises(UnsupportedInputError):
             _sweep_cell(bounds, cell, False)
