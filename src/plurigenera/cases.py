@@ -19,7 +19,9 @@ first claim the type fails; ``replay_type`` reports that claim.
 The class certificates of a row are the bounds that cover whole shape
 classes regardless of the multiplicity details (e.g. "five or more
 multiple fibres").  The exhaustive verifier materializes only the
-finitely many shapes outside these classes: the row's residual.
+finitely many shapes outside these classes: the row's residual.  Every
+statement, on a type's exact form or a certificate's bound, is read
+from one ``StatementCheck``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from functools import lru_cache
 from math import lcm
 
 from .congruence import QuasiLinearForm
-from .errors import UnsupportedInputError
+from .errors import InvalidInputError, UnsupportedInputError
 from .model import FIBRE_RULE_CACHE_SIZE, FibrationNumericalType, exact_form
 
 HALF = (1, 2)
@@ -65,33 +67,45 @@ def form_dominates(exact: QuasiLinearForm, bound: QuasiLinearForm) -> bool:
 
 @dataclass(frozen=True)
 class StatementCheck:
-    """The four growth statements evaluated on one form F, reading
-    P_n = max(0, F(n)): P_12, the least n <= 4 with P_n >= 1, the least
-    n <= 8 with P_n >= 2, and whether P_n >= 2 for every n >= 14 (decided
+    """The one evaluator of the four growth statements on a form F,
+    reading P_n = max(0, F(n)): the series P_0 .. P_upto from one pass
+    (upto >= 14), the least n <= 14 with P_n >= 1 and with P_n >= 2
+    (``None`` past 14), and whether P_n >= 2 for every n >= 14 (decided
     exactly).  On an exact form these are the statements themselves; on
     a lower bound they are sufficient conditions."""
 
-    p12: int
+    series: tuple[int, ...]
     first_ge1: int | None
     first_ge2: int | None
     tail: bool
 
     @classmethod
-    def from_form(cls, form: QuasiLinearForm) -> "StatementCheck":
-        return cls(
-            p12=max(0, form.value(12)),
-            first_ge1=form.first_at_least(1, 4),
-            first_ge2=form.first_at_least(2, 8),
-            tail=form.eventually_at_least(14, 2),
+    def from_form(cls, form: QuasiLinearForm, upto: int = 14) -> "StatementCheck":
+        if upto < 14:
+            raise InvalidInputError(f"the statements read P_n up to n = 14, got {upto}")
+        series = tuple(form.series(upto))
+        first1, first2 = (
+            next((n for n in range(1, 15) if series[n] >= target), None)
+            for target in (1, 2)
         )
+        return cls(series, first1, first2, form.eventually_at_least(14, 2))
+
+    @property
+    def p12(self) -> int:
+        return self.series[12]
+
+    @property
+    def p13(self) -> int:
+        return self.series[13]
 
     @property
     def failed(self) -> tuple[str, ...]:
         """Names of the statements that do not hold, in order."""
+        first1, first2 = self.first_ge1, self.first_ge2
         holds = (
             self.p12 >= 2,
-            self.first_ge1 is not None,
-            self.first_ge2 is not None,
+            first1 is not None and first1 <= 4,
+            first2 is not None and first2 <= 8,
             self.tail,
         )
         return tuple(f"stmt{i}" for i, ok in enumerate(holds, start=1) if not ok)
@@ -313,9 +327,6 @@ class ClassCertificate:
 
     name: str
     bound: QuasiLinearForm
-
-    def statements_pass(self) -> bool:
-        return not StatementCheck.from_form(self.bound).failed
 
 
 @dataclass(frozen=True)

@@ -210,10 +210,3 @@ class QuasiLinearForm:
             envelope = -((-(target - self.const) * period - loss) // rise)
             n_hi = min(n_hi, max(threshold, envelope))
         return all(self.value(n) >= target for n in range(threshold, n_hi))
-
-    def first_at_least(self, target: int, n_max: int) -> int | None:
-        """Least n in [1, n_max] with max(0, value(n)) >= target."""
-        for n in range(1, n_max + 1):
-            if max(0, self.value(n)) >= target:
-                return n
-        return None

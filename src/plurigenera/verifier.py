@@ -6,8 +6,9 @@ verification of the four plurigenus growth statements:
     (3) some n <= 8 has P_n >= 2,
     (4) P_n >= 2 for every n >= 14,
 
-with statement (4) decided exactly through the quasi-linear structure of
-the plurigenus formula.
+all read from one ``cases.StatementCheck`` per form: one series pass and
+statement (4) decided exactly through the quasi-linear structure of the
+plurigenus formula.
 
 ``verify_all`` runs the sweep in one of two modes.  The certified mode
 (default) mirrors the structure of the genus-zero case analysis and
@@ -69,7 +70,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, groupby, product
+from itertools import chain, combinations_with_replacement, count, groupby, product
 from math import comb, lcm, prod
 
 from .cases import (
@@ -222,23 +223,22 @@ def verify_main_theorem(t: FibrationNumericalType) -> MainTheoremReport:
     The audit series covers P_0 .. P_(14 + 2*lcm) when the multiplicity
     lcm is small enough to print (<= 120), and P_0 .. P_40 otherwise;
     statement (4) is always decided exactly either way.  The series and
-    the statements read one ``plurigenus_form``; the series comes from
-    one pass over it (``QuasiLinearForm.series``)."""
+    the statements are read from one ``StatementCheck`` of the
+    ``plurigenus_form``."""
     _require_admissible(t)
     period = lcm(*(f.m for f in t.fibres))
-    upto = 14 + 2 * period if period <= 120 else 40
-    form = plurigenus_form(t)
-    series = tuple(form.series(upto))
-    exact = t.g == 0
-    check = StatementCheck.from_form(form)
+    check = StatementCheck.from_form(
+        plurigenus_form(t), 14 + 2 * period if period <= 120 else 40
+    )
+    first1, first2 = check.first_ge1, check.first_ge2
     return MainTheoremReport(
         p12=check.p12,
         stmt1=check.p12 >= 2,
-        stmt2_witness=check.first_ge1,
-        stmt3_witness=check.first_ge2,
+        stmt2_witness=first1 if first1 is not None and first1 <= 4 else None,
+        stmt3_witness=first2 if first2 is not None and first2 <= 8 else None,
         stmt4=check.tail,
-        exact=exact,
-        series=series,
+        exact=t.g == 0,
+        series=check.series,
     )
 
 
@@ -589,19 +589,13 @@ def enumerate_types(
 
 
 def _statement_stats(form: QuasiLinearForm):
-    """P_12, P_13, the least n with P_n >= 1 and with P_n >= 2, and the
-    failed statements, read off an exact form."""
+    """The ``StatementCheck`` of an exact form, and the least n with
+    P_n >= 1 and with P_n >= 2, scanned past 14 only where the check has
+    no witness."""
     check = StatementCheck.from_form(form)
-    p13 = max(0, form.value(13))
-    # exact least witnesses for the extremal statistics: the check has
-    # already scanned n <= 4 for P_n >= 1 and n <= 8 for P_n >= 2
-    first1 = check.first_ge1 or 5
-    while max(0, form.value(first1)) < 1:
-        first1 += 1
-    first2 = check.first_ge2 or 9
-    while max(0, form.value(first2)) < 2:
-        first2 += 1
-    return check.p12, p13, first1, first2, list(check.failed)
+    first1 = check.first_ge1 or next(n for n in count(15) if form.value(n) >= 1)
+    first2 = check.first_ge2 or next(n for n in count(15) if form.value(n) >= 2)
+    return check, first1, first2
 
 
 # The cells that the row of ``cases.cell_row`` covers whole (residual
@@ -727,20 +721,20 @@ def _sweep_built(
         rep = replay_type(ty, form)
         label = rep.label
         labels[label] = labels.get(label, 0) + 1
-        p12, p13, f1, f2, failed = _statement_stats(form)
-        if failed:
-            counterexamples.append({"type": ty.to_dict(), "failed": failed})
+        check, f1, f2 = _statement_stats(form)
+        if check.failed:
+            counterexamples.append({"type": ty.to_dict(), "failed": list(check.failed)})
         if not rep.ok:
             replay_failures.append(
                 {"type": ty.to_dict(), "claims": list(rep.claim_failures)}
             )
         first1 = _raise_max(first1, f1, (ty,))
         first2 = _raise_max(first2, f2, (ty,))
-        if p13 <= 1:
+        if check.p13 <= 1:
             p13_low.append(ty.to_dict())
         if keep_rows:
             rows.append(
-                {"type": ty.to_dict(), "label": label, "series": form.series(14)[1:]}
+                {"type": ty.to_dict(), "label": label, "series": list(check.series[1:])}
             )
     result = {
         "materialized": len(types),
@@ -764,16 +758,17 @@ def _finish_cell(cell, result: dict, certified: bool) -> dict:
     row = cell_row(chi, t)
     entries = []
     for cert in row.certificates if certified else ():
-        ok = cert.statements_pass()
+        check = StatementCheck.from_form(cert.bound)
+        ok = not check.failed
         entries.append(
             {
                 "name": cert.name,
                 "label": row.label,
                 "cell": key,
                 "statements_ok": ok,
-                "first_ge1_ceiling": cert.bound.first_at_least(1, 14),
-                "first_ge2_ceiling": cert.bound.first_at_least(2, 14),
-                "p13_ge_2": cert.bound.value(13) >= 2,
+                "first_ge1_ceiling": check.first_ge1,
+                "first_ge2_ceiling": check.first_ge2,
+                "p13_ge_2": check.p13 >= 2,
             }
         )
         if not ok:

@@ -11,10 +11,12 @@ from plurigenera import (
     EnumerationBounds,
     FibrationNumericalType,
     FibreDatum,
+    InvalidInputError,
     UnsupportedInputError,
     enumerate_types,
 )
 from plurigenera.cases import (
+    StatementCheck,
     case4_sharp_family,
     cell_row,
     exact_form,
@@ -122,6 +124,68 @@ class TestDomination:
             and all(b <= e for b, e in zip(ratios(bound), ratios(exact)))
         )
         assert form_dominates(exact, bound) is expected
+
+
+def _per_n_scan(form: QuasiLinearForm, upto: int):
+    """The statement readings from one value(n) call per n: the series,
+    the least n <= 14 with P_n >= 1 and with P_n >= 2, and the failed
+    statements, the tail taken from a scan over two periods past 14."""
+    values = [1] + [max(0, form.value(n)) for n in range(1, upto + 1)]
+    first1, first2 = (
+        min((n for n in range(1, 15) if values[n] >= target), default=None)
+        for target in (1, 2)
+    )
+    tail = form.growth() >= 0 and all(
+        form.value(n) >= 2 for n in range(14, 14 + 2 * form.period())
+    )
+    holds = (
+        values[12] >= 2,
+        any(v >= 1 for v in values[1:5]),
+        any(v >= 2 for v in values[1:9]),
+        tail,
+    )
+    failed = tuple(f"stmt{i}" for i, ok in enumerate(holds, start=1) if not ok)
+    return tuple(values), first1, first2, tail, failed
+
+
+class TestStatementCheck:
+    @staticmethod
+    def _assert_matches_scan(form, upto=14):
+        check = StatementCheck.from_form(form, upto)
+        series, first1, first2, tail, failed = _per_n_scan(form, upto)
+        assert check.series == series
+        assert (check.p12, check.p13) == (series[12], series[13])
+        assert (check.first_ge1, check.first_ge2) == (first1, first2)
+        assert check.tail is tail
+        assert check.failed == failed
+
+    @settings(max_examples=300)
+    @given(
+        st.builds(
+            QuasiLinearForm,
+            st.integers(-8, 2),
+            st.integers(-1, 1),
+            st.lists(st.tuples(st.integers(0, 15), st.integers(1, 16)), max_size=3),
+        ),
+        st.integers(14, 40),
+    )
+    # witnesses past 14: P_n >= 1 first at 40 and P_n >= 2 first at 60,
+    # and P_n >= 1 at once but P_n >= 2 first at 20
+    @example(QuasiLinearForm(-1, 0, ((1, 20),)), 14)
+    @example(QuasiLinearForm(1, 0, ((1, 20),)), 30)
+    @example(QuasiLinearForm(1, -2, ((1, 2), (5, 6), (5, 6))), 14)  # (2, 6, 6)
+    def test_matches_a_per_n_scan(self, form, upto):
+        self._assert_matches_scan(form, upto)
+
+    def test_certificate_bounds_match_a_per_n_scan(self):
+        for chi in range(0, 6):
+            for t in range(0, 6 - chi):
+                for cert in cell_row(chi, t).certificates:
+                    self._assert_matches_scan(cert.bound)
+
+    def test_reads_at_least_14_values(self):
+        with pytest.raises(InvalidInputError):
+            StatementCheck.from_form(QuasiLinearForm(1, 0, ()), 13)
 
 
 class TestReplay:
@@ -263,7 +327,7 @@ class TestClassCertificates:
         for chi in range(0, 5):
             for t in range(0, 5 - chi):
                 for cert in cell_row(chi, t).certificates:
-                    assert cert.statements_pass(), cert.name
+                    assert not StatementCheck.from_form(cert.bound).failed, cert.name
 
     def test_certificates_cover_everything_not_materialized(self):
         assert _check_coverage(SMALL, _cell_order(SMALL)) > 0

@@ -583,9 +583,10 @@ class TestSweep:
         assert sizes == pools
 
     def test_statement_witnesses_match_a_scan_from_one(self):
-        # _statement_stats resumes its witness scans where StatementCheck's
-        # windows (n <= 4, n <= 8) end; the material sweep's witnesses lie
-        # inside them, so positive-slope types with later witnesses are added
+        # _statement_stats scans past 14 only where StatementCheck has no
+        # witness; the material sweep's witnesses lie at n <= 8, so
+        # positive-slope types and forms with later witnesses are added
+        from plurigenera.congruence import QuasiLinearForm
         from plurigenera.model import exact_form, slope
         from plurigenera.verifier import _statement_stats
 
@@ -604,14 +605,20 @@ class TestSweep:
                 n += 1
             return n
 
+        # floor(n/20) - 1, floor(n/40) and 1 + floor(n/20): P_n >= 2 first
+        # at 60, 80 and 20, P_n >= 1 first at 40, 40 and 1
+        late = [
+            QuasiLinearForm(c, 0, ((1, m),)) for c, m in ((-1, 20), (0, 40), (1, 20))
+        ]
         witnesses = set()
-        for ty in types:
-            form = exact_form(ty)
-            _, _, first1, first2, _ = _statement_stats(form)
-            assert (first1, first2) == (scan(form, 1), scan(form, 2)), ty
+        for form in [exact_form(ty) for ty in types] + late:
+            _, first1, first2 = _statement_stats(form)
+            assert (first1, first2) == (scan(form, 1), scan(form, 2)), form
             witnesses.add((first1, first2))
         assert {5, 6} <= {f1 for f1, _ in witnesses}
         assert {9, 10} <= {f2 for _, f2 in witnesses}
+        assert max(f1 for f1, _ in witnesses) > 14
+        assert max(f2 for _, f2 in witnesses) > 14
 
     def test_rows(self):
         rep = verify_all(self.SMALL, keep_rows=True)
