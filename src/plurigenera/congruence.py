@@ -60,10 +60,10 @@ def _check_u_data(m, nu) -> None:
             raise InvalidInputError(f"need nu | m, got nu={nu_j}, m={m_j}")
 
 
-def _u_holds(big_m: int, weights: list[int], nu_i: int, i: int) -> bool:
-    """U_i (0-based i) from M = lcm(m_j) and the weights M/m_j."""
-    g = gcd(big_m, nu_i * weights[i], *weights[:i], *weights[i + 1 :])
-    return weights[i] % g == 0
+def _u_holds(big_m: int, weight: int, nu_i: int, others: int) -> bool:
+    """U_i from M = lcm(m_j), the weight M/m_i and the gcd of the other
+    weights M/m_j (j != i)."""
+    return weight % gcd(big_m, nu_i * weight, others) == 0
 
 
 def check_condition_U(inst: ConditionUInstance) -> bool:
@@ -76,7 +76,9 @@ def check_condition_U(inst: ConditionUInstance) -> bool:
     """
     big_m = lcm(*inst.m)
     weights = [big_m // m_j for m_j in inst.m]
-    return _u_holds(big_m, weights, inst.nu[inst.i - 1], inst.i - 1)
+    i = inst.i - 1
+    others = gcd(*weights[:i], *weights[i + 1 :])
+    return _u_holds(big_m, weights[i], inst.nu[i], others)
 
 
 def check_condition_U_bruteforce(
@@ -124,10 +126,19 @@ def check_all_U(fibration) -> bool:
 
 def _all_u(m, nu) -> bool:
     """Every U_i for validated data (m_j >= 2, nu_j | m_j); true when
-    there are no fibres."""
+    there are no fibres.  The gcd of the weights other than the i-th is
+    the gcd of a prefix and a suffix gcd, so the work is linear in r."""
     big_m = lcm(*m)
     weights = [big_m // m_j for m_j in m]
-    return all(_u_holds(big_m, weights, nu[i], i) for i in range(len(m)))
+    suffix = [0] * (len(weights) + 1)
+    for i in range(len(weights) - 1, -1, -1):
+        suffix[i] = gcd(weights[i], suffix[i + 1])
+    prefix = 0
+    for weight, nu_i, after in zip(weights, nu, suffix[1:]):
+        if not _u_holds(big_m, weight, nu_i, gcd(prefix, after)):
+            return False
+        prefix = gcd(prefix, weight)
+    return True
 
 
 def divisibility_closure_r3(m1: int, m2: int, m3: int) -> bool:

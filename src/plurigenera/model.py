@@ -65,10 +65,21 @@ def is_prime(n: int) -> bool:
     return factorization(n) == ((n, 1),)
 
 
+# The largest characteristic accepted.  Primality is decided by trial
+# division, about sqrt(p) steps: a few milliseconds at this bound, more
+# than 20 s at 2**61 - 1.
+MAX_CHARACTERISTIC = 10**9
+
+
 def validate_characteristic(p: int) -> int:
-    """A characteristic is 0 or a prime number."""
+    """A characteristic is 0 or a prime number; one past
+    ``MAX_CHARACTERISTIC`` raises ``UnsupportedInputError``."""
     if not isinstance(p, int) or isinstance(p, bool):
         raise InvalidInputError(f"characteristic must be an integer, got {p!r}")
+    if p > MAX_CHARACTERISTIC:
+        raise UnsupportedInputError(
+            f"characteristic {p} exceeds MAX_CHARACTERISTIC = {MAX_CHARACTERISTIC}"
+        )
     if p != 0 and not is_prime(p):
         raise InvalidInputError(f"characteristic must be 0 or prime, got {p}")
     return p
@@ -254,7 +265,7 @@ class FibrationNumericalType:
     def from_json(cls, text: str) -> "FibrationNumericalType":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer past the digit limit
             raise InvalidInputError(f"invalid JSON: {exc}") from exc
         return cls.from_dict(data)
 

@@ -140,7 +140,7 @@ def _fibre_violations(
         return tuple(violations)
     if p == 0:
         return ("wild-char-zero",)
-    power_ok = e >= 1 and m == nu * p**e
+    power_ok = 1 <= e <= m.bit_length() and m == nu * p**e  # p**e > m past it
     if not power_ok:
         violations.append("wild-power-relation")
     elif t not in achievable_torsion_lengths(nu, e, p):

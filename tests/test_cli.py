@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plurigenera.cli import run
 
@@ -304,3 +306,170 @@ class TestErrorEnvelopes:
         code, env = run_json(capsys, ["compute", "--type", type_file(T266)])
         assert code == 0
         assert set(env) == {"command", "inputs", "result", "tool_version"}
+
+
+# ---------------------------------------------------------------------------
+# the gate: arbitrary input never hangs, crashes or prints a bare traceback
+
+JUNK = st.one_of(
+    st.floats(allow_nan=False), st.booleans(), st.none(), st.text(max_size=3)
+)
+# small values reach the model's rules, huge and negative ones its checks
+FIELD = st.one_of(
+    st.integers(0, 12),
+    st.integers(-(10**40), 10**40),
+    st.sampled_from([2**61 - 1, 10**12 + 39, 2 * 10**9, 2**18]),
+    JUNK,
+)
+
+
+def _records(fields: dict):
+    """Dicts over ``fields``, at times missing one key or carrying an
+    extra one."""
+    keys = sorted(fields)
+    return st.builds(
+        lambda record, drop, extra: {
+            **{k: v for k, v in record.items() if k not in drop}, **extra
+        },
+        st.fixed_dictionaries(fields),
+        st.one_of(st.just(()), st.sets(st.sampled_from(keys), max_size=1)),
+        st.one_of(st.just({}), st.dictionaries(st.just("extra"), FIELD, max_size=1)),
+    )
+
+
+FIBRES = _records(
+    {key: st.one_of(st.integers(0, 12), FIELD) for key in ("m", "a", "nu", "e", "t")}
+)
+TYPES = _records(
+    {
+        "p": st.one_of(st.sampled_from([0, 2, 3, 5, 7]), FIELD),
+        "g": st.one_of(st.integers(0, 2), FIELD),
+        "chi": st.one_of(st.integers(-1, 3), FIELD),
+        "quasi_elliptic": st.one_of(st.booleans(), FIELD),
+        "fibres": st.one_of(st.lists(FIBRES, max_size=4), FIELD),
+        "existence_unknown": st.one_of(st.booleans(), FIELD),
+    }
+)
+
+
+def _lone_fibre(p, chi, m, a, nu, e, t):
+    return {
+        "p": p, "g": 0, "chi": chi, "quasi_elliptic": False,
+        "fibres": [{"m": m, "a": a, "nu": nu, "e": e, "t": t}],
+    }
+
+
+# seconds one CLI call may take on any input of the gate
+TYPE_DEADLINE_S = 5
+SWEEP_DEADLINE_S = 30
+
+
+def _run_gated(argv, stdin: str = "", deadline_s: float = TYPE_DEADLINE_S):
+    """Run the CLI in process: it must exit 0, 1 or 2 and print one JSON
+    envelope within the deadline."""
+    import contextlib
+    import io
+    import sys
+    import time
+    from unittest import mock
+
+    out = io.StringIO()
+    start = time.perf_counter()
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin)):
+        with contextlib.redirect_stdout(out):
+            code = run(argv)
+    elapsed = time.perf_counter() - start
+    assert code in (0, 1, 2), argv
+    envelope = json.loads(out.getvalue())
+    assert set(envelope) == {"command", "inputs", "result", "tool_version"}
+    assert elapsed < deadline_s, (argv, elapsed)
+    return code, envelope
+
+
+class TestArbitraryInputGate:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["compute", "verify"]), TYPES)
+    # a t >= 3 fibre with m = 2*10^9: its coefficient set is 2 values, not
+    # a scan of m
+    @example("verify", _lone_fibre(2, 1, 2 * 10**9, 2 * 10**9 - 1, 10**9, 1, 3))
+    # p^e = 2^18: past MAX_WILD_POWER
+    @example("compute", _lone_fibre(2, 1, 2**18, 2**18 - 1, 1, 18, 1))
+    # p = 2^61 - 1: past MAX_CHARACTERISTIC
+    @example("verify", {**T266, "p": 2**61 - 1})
+    # an exponent whose power p^e alone would not fit in memory
+    @example("verify", _lone_fibre(2, 1, 8, 7, 1, 10**30, 1))
+    # 20,000 tame fibres of m = 2: condition U is linear in r
+    @example("verify", {**T266, "fibres": [T266["fibres"][0]] * 20_000})
+    def test_type_commands(self, command, payload):
+        code, envelope = _run_gated([command, "--type", "-"], json.dumps(payload))
+        if code == 0:
+            assert envelope["result"]["type"]["fibres"] is not None
+
+    @pytest.mark.parametrize(
+        "command, payload, code, detail",
+        [
+            ("verify", _lone_fibre(2, 1, 2 * 10**9, 2 * 10**9 - 1, 10**9, 1, 3), 2,
+             "wild-torsion-length"),
+            ("compute", _lone_fibre(2, 1, 2**18, 2**18 - 1, 1, 18, 1), 2,
+             "MAX_WILD_POWER"),
+            ("verify", {**T266, "p": 2**61 - 1}, 2, "MAX_CHARACTERISTIC"),
+            ("verify", _lone_fibre(2, 1, 8, 7, 1, 10**30, 1), 2, "wild-power-relation"),
+            ("verify", {**T266, "fibres": [T266["fibres"][0]] * 20_000}, 0, None),
+        ],
+        ids=["coefficients", "wild-power", "characteristic", "exponent", "20000-fibres"],
+    )
+    def test_repros_get_an_answer_or_a_typed_error(self, command, payload, code, detail):
+        got, envelope = _run_gated([command, "--type", "-"], json.dumps(payload))
+        assert got == code
+        if detail is not None:
+            assert detail in json.dumps(envelope["result"])
+
+    @pytest.mark.parametrize(
+        "text", ['{"p": ' + "1" * 5000 + "}", "[", '{"p": NaN}', "null"]
+    )
+    def test_unparsable_type_is_malformed(self, text):
+        code, envelope = _run_gated(["verify", "--type", "-"], text)
+        assert code == 1 and envelope["result"]["error"] == "invalid-input"
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(
+            [["enumerate"], ["verify-all"], ["verify-all", "--materialize-all"],
+             ["verify-all", "--rows"], ["sharp", "--predicate", "p123-zero"],
+             ["sharp", "--predicate", "p13-equals-1"]]
+        ),
+        st.integers(2, 12),
+        st.integers(1, 4),
+        st.integers(0, 2),
+        st.lists(st.sampled_from([0, 2, 3, 5, 7]), min_size=1, max_size=3),
+        st.booleans(),
+        st.booleans(),
+        # at times one flag out of range; the last occurrence counts
+        st.sampled_from(
+            [[]] * 6
+            + [["--max-mult=1"], ["--max-fibres=0"], ["--max-chi-plus-t=-1"],
+               ["--characteristics=2,4"], [f"--characteristics={2**61 - 1}"],
+               ["--characteristics=2,x"]]
+        ),
+    )
+    # the largest bounds the gate draws, with every characteristic
+    @example(["verify-all", "--materialize-all"], 12, 4, 2, [0, 2, 3, 5, 7], False, False, [])
+    @example(["enumerate"], 12, 4, 2, [0, 2, 3, 5, 7], False, False, [])
+    @example(["sharp", "--predicate", "p13-equals-1"], 12, 4, 2, [0, 2, 3, 5, 7],
+             False, False, [])
+    def test_sweep_commands(
+        self, command, max_mult, max_fibres, max_chi_plus_t, ps, no_wild, no_quasi,
+        spoiled,
+    ):
+        argv = [
+            *command,
+            f"--max-mult={max_mult}",
+            f"--max-fibres={max_fibres}",
+            f"--max-chi-plus-t={max_chi_plus_t}",
+            "--characteristics=" + ",".join(map(str, ps)),
+            *(["--no-wild"] if no_wild else []),
+            *(["--no-quasi-elliptic"] if no_quasi else []),
+            *(["--jobs", "1"] if command[0] != "sharp" else []),
+            *spoiled,
+        ]
+        _run_gated(argv, deadline_s=SWEEP_DEADLINE_S)
