@@ -179,14 +179,17 @@ class QuasiLinearForm:
 
     def series(self, n_max: int) -> list[int]:
         """P_0 .. P_n_max in one pass, reading P_0 = 1 and P_n =
-        max(0, value(n)) for n >= 1: one floor column per pair, summed
-        onto const + linear*n."""
+        max(0, value(n)) for n >= 1: one loop over n with the pairs
+        validated once, not once per n as ``value`` does."""
         floor_sum(n_max, self.pairs)  # validates n_max and the pairs
-        ns = range(1, n_max + 1)
-        totals = [self.const + self.linear * n for n in ns]
-        for a, m in self.pairs:
-            totals = [v + n * a // m for v, n in zip(totals, ns)]
-        return [1] + [v if v > 0 else 0 for v in totals]
+        const, linear, pairs = self.const, self.linear, self.pairs
+        out = [1]
+        for n in range(1, n_max + 1):
+            v = const + linear * n
+            for a, m in pairs:
+                v += n * a // m
+            out.append(v if v > 0 else 0)
+        return out
 
     def growth(self) -> Fraction:
         g = Fraction(self.linear)
