@@ -58,7 +58,7 @@ quasi_elliptic), which differ only in p - once, in its first cell, and
 re-keys that result for the class's other cells
 (``_with_characteristic``).  That is exact: nothing a tame type meets
 reads p.  ``_fibre_violations`` returns from its tame branch before it
-reads p; the slope, condition U, ``_finalize`` (which acts on t_j = 2
+reads p; the slope, condition U, ``_finalize`` (which acts on wild
 fibres only), ``cell_row(chi, t)`` and the tame branches of
 ``replay_type`` do not read it; and quasi-elliptic cells exist only for
 p in {2, 3}, which both pass the quasi-elliptic characteristic rule.
@@ -286,10 +286,11 @@ class EnumerationBounds:
 @lru_cache(maxsize=FIBRE_RULE_CACHE_SIZE)
 def _wild_data(p: int, t_j: int, max_mult: int) -> tuple[tuple, ...]:
     """All wild fibre records with torsion length t_j and m <= max_mult,
-    grouped by their (m, nu) shape: ``(m, nu, records)`` triples sorted by
-    (m, nu), each group's records sorted by a."""
+    for every e with p^e <= max_mult, grouped by their (m, nu) shape:
+    ``(m, nu, records)`` triples sorted by (m, nu), each group's records
+    sorted by a."""
     groups = []
-    for e in (1, 2):
+    for e in range(1, max_mult.bit_length()):  # 2^e <= max_mult below it
         q = p**e
         for nu in range(1, max_mult // q + 1):
             if t_j not in achievable_torsion_lengths(nu, e, p):
@@ -317,22 +318,49 @@ def _expand(shape):
         yield tuple(chain.from_iterable(parts))
 
 
+def _torsion_partitions(
+    t: int, max_fibres: int, parts: list[int]
+) -> list[list[tuple[int, int]]]:
+    """Every partition of t into at most ``max_fibres`` torsion lengths
+    t_j drawn from ``parts`` (ascending, >= 1), the fewest parts first,
+    each as its (t_j, count) runs in ascending t_j; t = 0 has the one
+    empty partition.  A branch is cut once its free parts cannot reach t
+    even at the largest t_j, so a large t with few or small parts costs
+    little."""
+    largest = max(parts, default=0)
+
+    def ascending(left: int, first: int, room: int):
+        if left == 0:
+            yield ()
+        elif left <= room * largest:
+            for i in range(first, len(parts)):
+                if parts[i] > left:
+                    break
+                for rest in ascending(left - parts[i], i, room - 1):
+                    yield (parts[i],) + rest
+
+    found = sorted(ascending(t, 0, max_fibres), key=len)
+    return [[(t_j, len(list(run))) for t_j, run in groupby(ps)] for ps in found]
+
+
 def _wild_combos(p: int, t: int, max_fibres: int, max_mult: int):
     """Every wild shape of torsion length t with at most ``max_fibres``
-    fibres, once, with its weight: its t_j = 1 groups before its t_j = 2
-    groups, and the shapes with the fewest fibres first."""
-    if t == 0:
-        yield (), 1
-        return
-    ones, twos = _wild_data(p, 1, max_mult), _wild_data(p, 2, max_mult)
-    for k2 in range(t // 2, -1, -1):
-        k1 = t - 2 * k2
-        if k1 + k2 > max_fibres:
-            return
-        for shape1 in combinations_with_replacement(ones, k1):
-            weight1 = _shape_weight(shape1)
-            for shape2 in combinations_with_replacement(twos, k2):
-                yield shape1 + shape2, weight1 * _shape_weight(shape2)
+    fibres, once, with its weight: its groups in ascending t_j, and the
+    shapes with the fewest fibres first."""
+
+    def shapes(runs):
+        (t_j, k), rest = runs[0], runs[1:]
+        for part in combinations_with_replacement(_wild_data(p, t_j, max_mult), k):
+            weight = _shape_weight(part)
+            if not rest:
+                yield part, weight
+                continue
+            for shape, rest_weight in shapes(rest):
+                yield part + shape, weight * rest_weight
+
+    parts = [t_j for t_j in range(1, t + 1) if _wild_data(p, t_j, max_mult)]
+    for runs in _torsion_partitions(t, max_fibres, parts):
+        yield from shapes(runs) if runs else [((), 1)]
 
 
 def _multisets_upto(max_mult: int, max_size: int):
@@ -443,12 +471,12 @@ def _cell_order(bounds: EnumerationBounds):
 
 
 def _finalize(t: FibrationNumericalType) -> FibrationNumericalType:
-    """Attach the existence-doubt flag for the single doubly-wild shape."""
-    if (
-        t.chi == 0
-        and t.g == 0
-        and t.r == 1
-        and t.fibres[0].t == 2
+    """Attach the existence-doubt flag: to the single doubly-wild shape,
+    and to a type with a fibre of torsion length t_j >= 3, whose
+    coefficient comes from the divisibility superset, not a sharp rule
+    (``CoefficientSet.sharp`` is false)."""
+    if any(f.t >= 3 for f in t.fibres) or (
+        t.chi == 0 and t.g == 0 and t.r == 1 and t.fibres[0].t == 2
     ):
         return replace(t, existence_unknown=True)
     return t
@@ -635,25 +663,26 @@ def _count_certified(bounds: EnumerationBounds, cell) -> int:
 
     Every fibre of the ``_wild_data`` menus passes its local rules: they
     are built by those rules with the h^1 flag off, t_j = 1 coefficients
-    do not read the flag, and a t_j = 2 fibre means t >= 2, where the flag
-    is off; d >= 1 makes the slope positive.  The premise is read from the
-    cell's row: no residual, and one certificate (1 + n*d) that bounds
-    every type termwise by a floor-free form, nondecreasing and >= 2 from
-    n = 1 on, so no type fails a statement or its replay, and P_13 >= 2."""
+    do not read the flag, and a t_j >= 2 fibre means t >= 2, where the
+    flag is off; d >= 1 makes the slope positive.  The premise is read
+    from the cell's row: no residual, and one certificate (1 + n*d) that
+    bounds every type termwise by a floor-free form, nondecreasing and
+    >= 2 from n = 1 on, so no type fails a statement or its replay, and
+    P_13 >= 2."""
     p, chi, t, quasi = cell
     row = cell_row(chi, t)
     (cert,) = row.certificates
     bound = cert.bound
     if row.tame_cap is not None or bound.pairs or bound.linear < 0 or bound.value(1) < 2:
         raise AssertionError(f"cell {cell} is not covered whole by P_n >= 2 for n >= 1")
-    ones, twos = (
-        sum(len(records) for _, _, records in _wild_data(p, t_j, bounds.max_mult))
-        for t_j in (1, 2)
-    )
+    menu = {
+        t_j: sum(len(records) for _, _, records in _wild_data(p, t_j, bounds.max_mult))
+        for t_j in range(1, t + 1)
+    }
+    parts = [t_j for t_j, size in menu.items() if size]
     combinations = sum(
-        _multichoose(ones, t - 2 * k2) * _multichoose(twos, k2)
-        for k2 in range(t // 2 + 1)
-        if t - k2 <= bounds.max_fibres
+        prod(_multichoose(menu[t_j], k) for t_j, k in runs)
+        for runs in _torsion_partitions(t, bounds.max_fibres, parts)
     )
     if combinations > MATERIAL_GUARD:
         raise _refusal(cell, f"exceeds the materialization guard ({MATERIAL_GUARD})")

@@ -156,7 +156,7 @@ def test_criterion_4_main_theorem_sweep(default_sweep):
 
 # SHA-256 of the default certified report, serialized with sorted keys
 DEFAULT_REPORT_SHA256 = (
-    "0f5b42b4ff6caa8bb91d5436abb35843c8eb73d62660274c7ed9802c6e0b81b4"
+    "1d5ee1fca35831d857d5d9035491e99c5962a6fda2d9a56665034947a71ff406"
 )
 
 

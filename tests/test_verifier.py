@@ -2,6 +2,7 @@
 
 import re
 import time
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
@@ -42,21 +43,26 @@ def wild_type(chi, *fibres, p=2, quasi=False):
 
 def raw_wild_combinations(p, t, max_fibres, max_mult):
     """Every bare wild combination of torsion length t with at most
-    ``max_fibres`` fibres, drawn from the flattened menus for each
-    (k1, k2) torsion partition, independently of ``_wild_combos``."""
-    if t == 0:
-        return [()]
-    ones, twos = (
-        [f for _, _, records in _wild_data(p, t_j, max_mult) for f in records]
-        for t_j in (1, 2)
-    )
-    return [
-        singles + doubles
-        for k2 in range(t // 2 + 1)
-        if t - k2 <= max_fibres
-        for singles in combinations_with_replacement(ones, t - 2 * k2)
-        for doubles in combinations_with_replacement(twos, k2)
+    ``max_fibres`` fibres: each multiset of records of the flattened menus
+    (every t_j <= t) whose torsion lengths sum to t, independently of
+    ``_wild_combos`` and its partitions."""
+    menu = [
+        f
+        for t_j in range(1, t + 1)
+        for _, _, records in _wild_data(p, t_j, max_mult)
+        for f in records
     ]
+
+    def extend(first, left, room):
+        if left == 0:
+            yield ()
+            return
+        for i in range(first, len(menu)):
+            if room and menu[i].t <= left:
+                for rest in extend(i, left - menu[i].t, room - 1):
+                    yield (menu[i],) + rest
+
+    return list(extend(0, t, max_fibres))
 
 
 T266 = tame((2, 6, 6))
@@ -371,7 +377,7 @@ class TestEnumeration:
         # every raw (m, a, nu, e) with nu | m, p^e <= max_mult and a < m,
         # filtered by the local rules with the h^1 flag off
         exponents = [e for e in range(1, max_mult.bit_length()) if p**e <= max_mult]
-        for t_j in (1, 2):
+        for t_j in range(1, 6):
             expected = sorted(
                 (m, nu, t_j, a, e)
                 for m in range(2, max_mult + 1)
@@ -386,6 +392,37 @@ class TestEnumeration:
             assert menu == expected, (p, max_mult, t_j)
             for m, nu, records in groups:
                 assert {(f.m, f.nu) for f in records} == {(m, nu)}
+
+    def test_a_lone_fibre_of_torsion_length_3_is_enumerated(self):
+        fibre = FibreDatum(5, 4, 1, 1, 3)
+        ty = wild_type(0, fibre, p=5)
+        assert is_admissible(ty).admissible
+        types = enumerate_types(
+            EnumerationBounds(5, 1, 3, (5,), include_quasi_elliptic=False)
+        )
+        assert replace(ty, existence_unknown=True) in types
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_lone_wild_fibres_match_a_raw_field_filter(self, p):
+        # every raw (m, a, nu, e) with m <= 12 and torsion length 3 or 4,
+        # alone in its cell, filtered by is_admissible; a t_j >= 3 fibre's
+        # coefficient comes from the non-sharp superset, so its type is
+        # flagged existence_unknown
+        bounds = EnumerationBounds(12, 1, 4, (p,), include_quasi_elliptic=False)
+        enumerated = [ty for ty in enumerate_types(bounds) if ty.torsion_length >= 3]
+        expected = {
+            replace(ty, existence_unknown=True)
+            for chi, t in ((0, 3), (1, 3), (0, 4))
+            for m in range(2, 13)
+            for nu in range(1, m + 1)
+            if m % nu == 0
+            for e in range(1, 4)
+            for a in range(m)
+            for ty in (wild_type(chi, FibreDatum(m, a, nu, e, t), p=p),)
+            if is_admissible(ty).admissible
+        }
+        assert expected
+        assert len(enumerated) == len(expected) and set(enumerated) == expected
 
     def test_condition_u_walk_matches_brute_filter(self):
         # the descending peak-covering walk that drives chi=0 cells must
@@ -649,15 +686,15 @@ class TestCountedCells:
         (EnumerationBounds(3, 8, 4),
          "688a988f23c3b7d04b942c78505cba0076b8cd60cba04cca36438ac36e357c04"),
         (EnumerationBounds(4, 8, 4),
-         "4c47c3a5cba8cedbe72b2e87997712715f0cc7ebbd2c3cd79940c3564951e76a"),
+         "0b2a0f7b18287d42596ad7489080b4596dfae641937dfd6e439ff254b76fc789"),
         (EnumerationBounds(10, 1, 4),
-         "dbd63d820d3131ac363592082893f73ac43a034f92b44b29a36f381aa25c7f11"),
+         "75f7f4ff33e4e0b8b020112349acc867bf391a15a83479376bb7bbfb659425fd"),
         (EnumerationBounds(30, 8, 4, (2,)),
-         "b1adbf55a7afb0a9cbc57ff2b9ebf28fc1ebc02a65921caff2f0110e9124f469"),
+         "21c308f589fdb6d8f2cd822624cd97763153734e12e883241e605ddbde04eea9"),
         (EnumerationBounds(12, 3, 6, (2, 3)),
-         "0b9a9df07c41291fdfab1950a86e0ae265ff3714d56a99e542132aa0249dc60f"),
+         "4bd46f192a5b9b9a076b5d449a75f94c68a48d645f38929a20774ad71379c65c"),
         (EnumerationBounds(10, 1, 3, (2,)),
-         "602dff076b7ac401b247fcaee136e336ed872654c7ca9730f4bb61397bb878af"),
+         "23f531ad1d735c2a81495f343ead5da6147c74271bb98755e1f034f70ab82f1d"),
     ]
     BOUNDS = [bounds for bounds, _ in PINNED]
     # max_mult 2 to 4, a single characteristic, and chi + t = 5
@@ -703,7 +740,7 @@ class TestCountedCells:
         ex = rep["extremes"]
         assert ex["max_first_nonzero"] == 1
         attainers = ex["max_first_nonzero_attainers"]
-        assert len(attainers) == 61
+        assert len(attainers) == 73
         large = [
             d for d in attainers if d["chi"] + sum(f["t"] for f in d["fibres"]) >= 3
         ]
