@@ -176,12 +176,19 @@ def _flat_rows(command: str, result) -> list[dict]:
 
 def _emit(args, command: str, inputs: dict, result) -> None:
     envelope = _envelope(command, inputs, result)
-    if args.format == "json":
-        print(json.dumps(envelope, sort_keys=True, indent=2))
-    elif args.format == "csv":
-        print(_render_csv(_flat_rows(command, result)))
-    else:
-        print(_render_table(_flat_rows(command, result)))
+    try:
+        if args.format == "json":
+            text = json.dumps(envelope, sort_keys=True, indent=2)
+        elif args.format == "csv":
+            text = _render_csv(_flat_rows(command, result))
+        else:
+            text = _render_table(_flat_rows(command, result))
+    except ValueError as exc:  # an integer past Python's str conversion limit
+        raise UnsupportedInputError(
+            f"an output integer has more than {sys.get_int_max_str_digits()} "
+            "digits, too many to print"
+        ) from exc
+    print(text)
 
 
 def run(argv=None) -> int:

@@ -8,7 +8,6 @@ residue search (the oracle the fast one is validated against).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -21,17 +20,6 @@ from .errors import (
 )
 
 DEFAULT_ORACLE_BOUND = 10**6
-ORACLE_BOUND_ENV = "PLURI_MAX_ORACLE"
-
-
-def oracle_bound() -> int:
-    raw = os.environ.get(ORACLE_BOUND_ENV)
-    if raw is None:
-        return DEFAULT_ORACLE_BOUND
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InvalidInputError(f"{ORACLE_BOUND_ENV} must be an integer") from exc
 
 
 @dataclass(frozen=True)
@@ -82,12 +70,10 @@ def check_condition_U(inst: ConditionUInstance) -> bool:
 
 
 def check_condition_U_bruteforce(
-    inst: ConditionUInstance, max_combos: int | None = None
+    inst: ConditionUInstance, max_combos: int = DEFAULT_ORACLE_BOUND
 ) -> bool:
     """Exhaustive search over residues modulo each m_j; the independent
     oracle for ``check_condition_U``."""
-    if max_combos is None:
-        max_combos = oracle_bound()
     i = inst.i - 1
     big_m = lcm(*inst.m)
     combos = 1

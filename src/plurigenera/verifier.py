@@ -26,12 +26,13 @@ Condition U and the tame companions read a wild fibre's (m, nu) alone,
 so it yields each wild shape once - a tuple of ``_wild_data`` groups
 (m, nu, records), one per fibre - with its weight, the number of wild
 combinations behind it.  Both modes pair each shape with tame companions
-in one loop, ``_cell_types``: drawn from the condition-U walk when U
-applies (chi = 0, elliptic), from all multisets otherwise, and none when
-no fibre slot is free, where U is decided on integers.  Only beside a
-companion is the shape expanded into its combinations, each checked by
-``is_admissible``; a companion adds the shape's weight to the cell's
-candidates, so a bare shape that fails U is counted but never built.
+in one stream, ``_cell_candidates``: drawn from the condition-U walk when
+U applies (chi = 0, elliptic), from all multisets otherwise, and none
+when no fibre slot is free, where U is decided on integers.  A companion
+adds the shape's weight to the cell's candidates, and so does a bare
+shape that fails U, which is counted but never built.  ``_cell_types``
+expands a shape into its combinations only beside a companion, each
+checked by ``is_admissible``.
 The material mode lets the companions fill every free slot; the
 certified mode caps them at the row's ``tame_cap``.  A cell that would
 test more than ``MATERIAL_GUARD`` candidates stops the sweep with
@@ -43,13 +44,15 @@ The certified mode counts the wild cells that their row covers whole
 (``_count_certified``).  There d >= 1, the row's one certificate,
 easy-large-degree (P_n >= n*d + 1), bounds every type termwise, and
 every wild combination is admissible unless U applies and its shape
-fails U.  So the count is the number of combinations, a sum of multiset
-counts of the menus that also serves as the guard, or where U applies
-the sum of the weights of the shapes that pass it.  It builds them in
+fails U.  So the count is the summed weights of the shapes of
+``_cell_candidates`` with no free slot, the stream that building the
+cell reads, guarded on the same running total.  It builds them in
 two cases: with ``keep_rows``, which needs a row per type, and when the
 sweep's maximum first1 or first2 is at most 1 (as at ``max_fibres=1``),
 when the attainer lists include every counted type.  ``materialized``
-and ``total_materialized`` count the covered types, built or counted.
+and ``total_materialized`` count the covered types, built or counted;
+a tame cell that its row covers whole is reported through one stand-in
+per certificate (``_materialize_certified``).
 
 ``_map_cells`` is the one cell executor, serial or in a process pool,
 for both sweep modes, ``enumerate_types`` and ``find_sharp_cases``.  It
@@ -306,8 +309,11 @@ def _wild_data(p: int, t_j: int, max_mult: int) -> tuple[tuple, ...]:
 
 def _shape_weight(shape) -> int:
     """The number of wild combinations behind a shape."""
-    runs = groupby(shape)
-    return prod(_multichoose(len(fs), len(list(run))) for (_, _, fs), run in runs)
+    weight = 1
+    for (_, _, fs), run in groupby(shape):
+        k = len(list(run))
+        weight *= comb(len(fs) + k - 1, k)
+    return weight
 
 
 def _expand(shape):
@@ -346,21 +352,23 @@ def _torsion_partitions(
 def _wild_combos(p: int, t: int, max_fibres: int, max_mult: int):
     """Every wild shape of torsion length t with at most ``max_fibres``
     fibres, once, with its weight: its groups in ascending t_j, and the
-    shapes with the fewest fibres first."""
+    shapes with the fewest fibres first.  A partition's first run streams;
+    its later runs are joined into their (tail, weight) pairs once per
+    partition."""
 
-    def shapes(runs):
-        (t_j, k), rest = runs[0], runs[1:]
+    def run(t_j: int, k: int):
         for part in combinations_with_replacement(_wild_data(p, t_j, max_mult), k):
-            weight = _shape_weight(part)
-            if not rest:
-                yield part, weight
-                continue
-            for shape, rest_weight in shapes(rest):
-                yield part + shape, weight * rest_weight
+            yield part, _shape_weight(part)
 
     parts = [t_j for t_j in range(1, t + 1) if _wild_data(p, t_j, max_mult)]
     for runs in _torsion_partitions(t, max_fibres, parts):
-        yield from shapes(runs) if runs else [((), 1)]
+        tails = [
+            (tuple(chain.from_iterable(s for s, _ in rest)), prod(w for _, w in rest))
+            for rest in product(*(list(run(*r)) for r in runs[1:]))
+        ]
+        for part, weight in run(*runs[0]) if runs else [((), 1)]:
+            for tail, tail_weight in tails:
+                yield part + tail, weight * tail_weight
 
 
 def _multisets_upto(max_mult: int, max_size: int):
@@ -483,64 +491,77 @@ def _finalize(t: FibrationNumericalType) -> FibrationNumericalType:
 
 
 def _refusal(cell, reason: str) -> UnsupportedInputError:
+    """The refusal of a cell that ``reason`` puts past ``MATERIAL_GUARD``."""
     return UnsupportedInputError(
-        f"cell {cell} {reason}; tighten the bounds or use the certified sweep"
+        f"cell {cell} {reason} the materialization guard ({MATERIAL_GUARD}); "
+        "tighten the bounds or use the certified sweep"
     )
 
 
-def _check_estimates(bounds: EnumerationBounds, cells, guard: int | None):
+def _check_estimates(bounds: EnumerationBounds, cells):
     """Raise when a cell without condition U would test more than
-    ``guard`` tame multisets beside one wild combination, at the free slots
-    of its first shape, the one with the fewest fibres."""
+    ``MATERIAL_GUARD`` tame multisets beside one wild combination, at the
+    free slots of its first shape, the one with the fewest fibres."""
     for p, chi, t, quasi in cells:
-        if guard is None or (chi == 0 and not quasi):
+        if chi == 0 and not quasi:
             continue
         first = next(_wild_combos(p, t, bounds.max_fibres, bounds.max_mult), None)
         slots = bounds.max_fibres - len(first[0]) if first else 0
         est = sum(_multichoose(bounds.max_mult - 1, k) for k in range(slots + 1))
-        if slots and est > guard:
-            raise _refusal((p, chi, t, quasi), f"would materialize ~{est} candidate "
-                           f"types, more than the materialization guard ({guard})")
+        if slots and est > MATERIAL_GUARD:
+            reason = f"would materialize ~{est} candidate types, more than"
+            raise _refusal((p, chi, t, quasi), reason)
 
 
-def _cell_types(bounds: EnumerationBounds, cell, max_tame: int, guard: int | None):
-    """The admissible types of one cell that pair a wild combination with
-    at most ``max_tame`` tame fibres, canonically sorted.  Raises when
-    more than ``guard`` candidates would be tested."""
+def _cell_candidates(bounds: EnumerationBounds, cell, max_tame: int):
+    """Each candidate of one cell as (shape, weight, companion), with at
+    most ``max_tame`` tame multiplicities as the companion, as the module
+    docstring sets out; raises once the summed weights of the candidates
+    and of the bare shapes that fail U pass ``MATERIAL_GUARD``."""
     p, chi, t, quasi = cell
-    found = []
     candidates = 0
     u_applies = chi == 0 and not quasi
-    tame = {m: FibreDatum.tame(m) for m in range(2, bounds.max_mult + 1)}
     for shape, weight in _wild_combos(p, t, bounds.max_fibres, bounds.max_mult):
         slots = min(max_tame, bounds.max_fibres - len(shape))
-        pairs = [(m, nu) for m, nu, _ in shape]
         if slots == 0:
-            ok = not u_applies or _all_u([m for m, _ in pairs], [nu for _, nu in pairs])
+            ok = not u_applies or _all_u(
+                [m for m, _, _ in shape], [nu for _, nu, _ in shape]
+            )
             companions = ((),) if ok else (None,)
         elif u_applies:
+            pairs = [(m, nu) for m, nu, _ in shape]
             companions = _covered_companions(bounds.max_mult, slots, pairs)
         else:
             companions = _multisets_upto(bounds.max_mult, slots)
         for comp in companions:
             candidates += weight
-            if guard is not None and candidates > guard:
-                raise _refusal(cell, f"exceeds the materialization guard ({guard})")
-            if comp is None:
-                continue
-            tames = tuple(tame[m] for m in comp)
-            for wilds in _expand(shape):
-                cand = FibrationNumericalType(
-                    p=p, g=0, chi=chi, quasi_elliptic=quasi, fibres=wilds + tames
-                )
-                if is_admissible(cand).admissible:
-                    found.append(_finalize(cand))
+            if candidates > MATERIAL_GUARD:
+                raise _refusal(cell, "exceeds")
+            if comp is not None:
+                yield shape, weight, comp
+
+
+def _cell_types(bounds: EnumerationBounds, cell, max_tame: int):
+    """The admissible types of one cell that pair a wild combination with
+    at most ``max_tame`` tame fibres (``_cell_candidates``), canonically
+    sorted."""
+    p, chi, _, quasi = cell
+    found = []
+    tame = {m: FibreDatum.tame(m) for m in range(2, bounds.max_mult + 1)}
+    for shape, _, comp in _cell_candidates(bounds, cell, max_tame):
+        tames = tuple(tame[m] for m in comp)
+        for wilds in _expand(shape):
+            cand = FibrationNumericalType(
+                p=p, g=0, chi=chi, quasi_elliptic=quasi, fibres=wilds + tames
+            )
+            if is_admissible(cand).admissible:
+                found.append(_finalize(cand))
     return sorted(found, key=lambda x: x.sort_key)
 
 
-def _cell_types_material(bounds: EnumerationBounds, cell, guard: int | None):
+def _cell_types_material(bounds: EnumerationBounds, cell):
     """Every admissible type of one cell, canonically sorted."""
-    return _cell_types(bounds, cell, bounds.max_fibres, guard)
+    return _cell_types(bounds, cell, bounds.max_fibres)
 
 
 def _tame_representatives(cells) -> dict:
@@ -600,15 +621,14 @@ def _map_cells(work, bounds: EnumerationBounds, cells, jobs: int, *args) -> list
 
 
 def enumerate_types(
-    bounds: EnumerationBounds, jobs: int = 1, guard: int | None = MATERIAL_GUARD
+    bounds: EnumerationBounds, jobs: int = 1
 ) -> list[FibrationNumericalType]:
     """Every admissible genus-zero type within bounds, exactly once, in
     canonical order; the same for any ``jobs`` value.  Raises when a cell
-    would materialize more than ``guard`` candidates (default five
-    million)."""
+    would materialize more than ``MATERIAL_GUARD`` candidates."""
     cells = _cell_order(bounds)
-    _check_estimates(bounds, cells, guard)
-    results = _map_cells(_cell_types_material, bounds, cells, jobs, guard)
+    _check_estimates(bounds, cells)
+    results = _map_cells(_cell_types_material, bounds, cells, jobs)
     return [ty for types in results for ty in types]
 
 
@@ -626,24 +646,22 @@ def _statement_stats(form: QuasiLinearForm):
     return check, first1, first2
 
 
-# The cells that the row of ``cases.cell_row`` covers whole (residual
-# ``None``) are reported through small stand-ins: a wild cell through its
-# bare wild combinations, which the sweep counts (``_count_certified``)
-# unless it keeps rows or needs their attainers, when it builds them; a
-# tame cell through these representative shapes, by chi ((): chi >= 3).
-_TAME_REPRESENTATIVES = {1: ((2, 3), (2, 2, 2)), 2: ((2,),)}
-
-
 def _materialize_certified(bounds: EnumerationBounds, cell):
     """The residual of one cell's row: the finitely many shapes that the
-    class certificates do not cover (or the stand-ins of a covered cell)."""
+    class certificates do not cover.  A wild cell that its row covers
+    whole gives its bare wild combinations, which the sweep counts
+    (``_count_certified``) unless it keeps rows or needs their
+    attainers; a tame one gives a stand-in per certificate, the tame
+    type with the multiplicities of the certificate's bound, whose exact
+    form is that bound."""
     p, chi, t, quasi = cell
-    cap = cell_row(chi, t).tame_cap
-    if cap is not None or t > 0:
-        return _cell_types(bounds, cell, cap or 0, MATERIAL_GUARD)
+    row = cell_row(chi, t)
+    if row.tame_cap is not None or t > 0:
+        return _cell_types(bounds, cell, row.tame_cap or 0)
+    multiplicities = ([m for _, m in cert.bound.pairs] for cert in row.certificates)
     reps = (
         FibrationNumericalType.tame_type(ms, p=p, chi=chi, quasi_elliptic=quasi)
-        for ms in _TAME_REPRESENTATIVES.get(chi, ((),))
+        for ms in multiplicities
         if len(ms) <= bounds.max_fibres and max(ms, default=0) <= bounds.max_mult
     )
     return [ty for ty in reps if is_admissible(ty).admissible]
@@ -657,9 +675,10 @@ def _counted(cell) -> bool:
 
 
 def _count_certified(bounds: EnumerationBounds, cell) -> int:
-    """The number of admissible types of a counted cell, equal to
-    ``len(_cell_types(bounds, cell, 0, MATERIAL_GUARD))`` without building
-    one, as the module docstring sets out; raises like ``_cell_types``.
+    """The number of admissible types of a counted cell without building
+    one: the summed weights of its candidates in ``_cell_candidates``,
+    the stream ``_cell_types`` builds from, so it equals
+    ``len(_cell_types(bounds, cell, 0))`` and raises where that does.
 
     Every fibre of the ``_wild_data`` menus passes its local rules: they
     are built by those rules with the h^1 flag off, t_j = 1 coefficients
@@ -669,30 +688,13 @@ def _count_certified(bounds: EnumerationBounds, cell) -> int:
     bounds every type termwise by a floor-free form, nondecreasing and
     >= 2 from n = 1 on, so no type fails a statement or its replay, and
     P_13 >= 2."""
-    p, chi, t, quasi = cell
+    _, chi, t, _ = cell
     row = cell_row(chi, t)
     (cert,) = row.certificates
     bound = cert.bound
     if row.tame_cap is not None or bound.pairs or bound.linear < 0 or bound.value(1) < 2:
         raise AssertionError(f"cell {cell} is not covered whole by P_n >= 2 for n >= 1")
-    menu = {
-        t_j: sum(len(records) for _, _, records in _wild_data(p, t_j, bounds.max_mult))
-        for t_j in range(1, t + 1)
-    }
-    parts = [t_j for t_j, size in menu.items() if size]
-    combinations = sum(
-        prod(_multichoose(menu[t_j], k) for t_j, k in runs)
-        for runs in _torsion_partitions(t, bounds.max_fibres, parts)
-    )
-    if combinations > MATERIAL_GUARD:
-        raise _refusal(cell, f"exceeds the materialization guard ({MATERIAL_GUARD})")
-    if chi != 0 or quasi:
-        return combinations
-    return sum(
-        weight
-        for shape, weight in _wild_combos(p, t, bounds.max_fibres, bounds.max_mult)
-        if _all_u([m for m, _, _ in shape], [nu for _, nu, _ in shape])
-    )
+    return sum(weight for _, weight, _ in _cell_candidates(bounds, cell, 0))
 
 
 def _raise_max(best: tuple[int, list], value: int, attainers) -> tuple[int, list]:
@@ -736,7 +738,7 @@ def _sweep_built(
 ) -> dict:
     """One cell's part of the report, from its types checked one by one."""
     if materialize_all:
-        types = _cell_types_material(bounds, cell, MATERIAL_GUARD)
+        types = _cell_types_material(bounds, cell)
     else:
         types = _materialize_certified(bounds, cell)
     labels: dict[str, int] = {}
@@ -817,7 +819,8 @@ def verify_all(
     is identical for any ``jobs`` value: cells are independent work
     units, merged in canonical cell order."""
     cells = _cell_order(bounds)
-    _check_estimates(bounds, cells, MATERIAL_GUARD if materialize_all else None)
+    if materialize_all:
+        _check_estimates(bounds, cells)
     results = _map_cells(_sweep_cell, bounds, cells, jobs, materialize_all, keep_rows)
     top1 = max((res["first1"][0] for res in results), default=0)
     top2 = max((res["first2"][0] for res in results), default=0)
@@ -899,7 +902,7 @@ def _sharp_cell(bounds: EnumerationBounds, cell, predicate_id: str) -> list:
     pred = _PREDICATES[predicate_id]
     return [
         ty
-        for ty in _cell_types_material(bounds, cell, MATERIAL_GUARD)
+        for ty in _cell_types_material(bounds, cell)
         if pred(exact_form(ty).series(13))
     ]
 
@@ -914,6 +917,6 @@ def find_sharp_cases(bounds: EnumerationBounds, predicate_id: str):
             f"{sorted(_PREDICATES)}"
         )
     cells = _cell_order(bounds)
-    _check_estimates(bounds, cells, MATERIAL_GUARD)
+    _check_estimates(bounds, cells)
     results = _map_cells(_sharp_cell, bounds, cells, 1, predicate_id)
     return [ty for hits in results for ty in hits]

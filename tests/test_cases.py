@@ -303,7 +303,7 @@ def _check_coverage(bounds, cells) -> int:
         p, chi, t, quasi = cell
         materialized = set(_materialize_certified(bounds, cell))
         certs = cell_row(chi, t).certificates
-        for ty in _cell_types_material(bounds, cell, None):
+        for ty in _cell_types_material(bounds, cell):
             if ty in materialized:
                 continue
             assert any(

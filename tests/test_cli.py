@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, round-trips, determinism."""
 
+import io
 import json
 
 import pytest
@@ -423,6 +424,26 @@ class TestArbitraryInputGate:
         assert got == code
         if detail is not None:
             assert detail in json.dumps(envelope["result"])
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_output_integer_past_the_print_limit_is_refused(self, capsys, fmt):
+        # chi has 4,298 digits, under the parse limit; P_10000 has more
+        # than the 4,300 that Python converts to a string
+        payload = {"p": 0, "g": 0, "chi": 10**4297, "quasi_elliptic": False, "fibres": []}
+        argv = ["compute", "--type", "-", "--n-max", "10000", "--format", fmt]
+        if fmt == "json":
+            code, envelope = _run_gated(argv, json.dumps(payload))
+            assert code == 2 and envelope["result"]["error"] == "unsupported-input"
+            assert "4300 digits" in envelope["result"]["message"]
+            return
+        from unittest import mock
+
+        with mock.patch("sys.stdin", io.StringIO(json.dumps(payload))):
+            code = run(argv)
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert lines[0].startswith("error")
+        assert "unsupported-input" in lines[-1] and "4300 digits" in lines[-1]
 
     @pytest.mark.parametrize(
         "text", ['{"p": ' + "1" * 5000 + "}", "[", '{"p": NaN}', "null"]

@@ -331,12 +331,15 @@ class TestEnumeration:
         with pytest.raises(InvalidInputError):
             EnumerationBounds(**field)
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
+        from plurigenera import verifier
+
+        monkeypatch.setattr(verifier, "MATERIAL_GUARD", 100)
         bounds = EnumerationBounds(
             max_mult=30, max_fibres=8, max_chi_plus_t=2, characteristics=(2,)
         )
         with pytest.raises(UnsupportedInputError):
-            list(enumerate_types(bounds, guard=100))
+            list(enumerate_types(bounds))
 
     @pytest.mark.parametrize(
         "run",
@@ -437,7 +440,7 @@ class TestEnumeration:
             p, chi, t, quasi = cell
             if p == 0 and t > 0:
                 continue
-            fast = set(_cell_types_material(bounds, cell, None))
+            fast = set(_cell_types_material(bounds, cell))
             slow = set()
             for wilds in raw_wild_combinations(p, t, bounds.max_fibres, bounds.max_mult):
                 slots = bounds.max_fibres - len(wilds)
@@ -474,6 +477,7 @@ class TestEnumeration:
             return rep
 
         monkeypatch.setattr(verifier, "is_admissible", recording)
+        guard = verifier.MATERIAL_GUARD
         rejected_by_u = 0
         for p in bounds.characteristics:
             for t in (2, 3, 4):
@@ -489,13 +493,16 @@ class TestEnumeration:
                     (_finalize(ty) for ty, rep in zip(raw, reports) if rep.admissible),
                     key=lambda ty: ty.sort_key,
                 )
-                assert _cell_types(bounds, cell, 0, None) == expected, cell
+                assert _cell_types(bounds, cell, 0) == expected, cell
                 rejected_by_u += sum("condition-U" in rep.violations for rep in reports)
                 # a combination rejected before it is built still counts
                 # toward the guard
+                monkeypatch.setattr(verifier, "MATERIAL_GUARD", len(raw) - 1)
                 with pytest.raises(UnsupportedInputError):
-                    _cell_types(bounds, cell, 0, len(raw) - 1)
-                assert _cell_types(bounds, cell, 0, len(raw)) == expected
+                    _cell_types(bounds, cell, 0)
+                monkeypatch.setattr(verifier, "MATERIAL_GUARD", len(raw))
+                assert _cell_types(bounds, cell, 0) == expected
+                monkeypatch.setattr(verifier, "MATERIAL_GUARD", guard)
         assert rejected_by_u > 0
         assert seen and "condition-U" not in seen
 
@@ -518,17 +525,6 @@ class TestEnumeration:
         assert digest == (
             "9ffe3f6a0526fed16680ee441a0e3cd548996c6ba6da2f914ac539c500487fbc"
         )
-
-    def test_oracle_bound_env_var(self, monkeypatch):
-        monkeypatch.setenv("PLURI_MAX_ORACLE", "5")
-        from plurigenera import OracleBoundExceededError
-
-        with pytest.raises(OracleBoundExceededError):
-            check_condition_U_bruteforce(ConditionUInstance((6, 6), (6, 6), 1))
-        monkeypatch.setenv("PLURI_MAX_ORACLE", "1000000")
-        assert check_condition_U_bruteforce(
-            ConditionUInstance((6, 6), (6, 6), 1)
-        ) is True
 
 
 def _fake_pool(monkeypatch, cpus):
@@ -590,6 +586,26 @@ class TestSweep:
 
     def test_jobs_determinism(self):
         assert verify_all(self.SMALL, jobs=1) == verify_all(self.SMALL, jobs=3)
+
+    @pytest.mark.parametrize("quasi", [False, True])
+    @pytest.mark.parametrize(
+        "chi, multiplicities",
+        [(1, ((2, 3), (2, 2, 2))), (2, ((2,),)), (3, ((),)), (4, ((),))],
+    )
+    def test_tame_stand_ins_are_read_from_the_certificates(
+        self, chi, multiplicities, quasi
+    ):
+        # a tame cell that its row covers whole is reported through one
+        # stand-in per certificate, the type whose exact form is its bound
+        from plurigenera.cases import cell_row
+        from plurigenera.model import exact_form
+        from plurigenera.verifier import _materialize_certified
+
+        cell = (2, chi, 0, quasi)
+        stand_ins = _materialize_certified(EnumerationBounds(), cell)
+        assert stand_ins == [tame(ms, chi=chi, p=2, quasi=quasi) for ms in multiplicities]
+        bounds = [cert.bound for cert in cell_row(chi, 0).certificates]
+        assert [exact_form(ty) for ty in stand_ins] == bounds
 
     # over characteristics (0, 2, 3), chi + t <= 0 is 3 tame cells in one
     # class, so 1 run and no pool; chi + t <= 1 is 10 cells in 5 runs
@@ -715,7 +731,6 @@ class TestCountedCells:
     @pytest.mark.parametrize("bounds", BOUNDS + SMALL_BOUNDS)
     def test_count_matches_built_types(self, bounds):
         from plurigenera.verifier import (
-            MATERIAL_GUARD,
             _cell_order,
             _cell_types,
             _count_certified,
@@ -725,7 +740,7 @@ class TestCountedCells:
         cells = [cell for cell in _cell_order(bounds) if _counted(cell)]
         assert cells
         for cell in cells:
-            built = _cell_types(bounds, cell, 0, MATERIAL_GUARD)
+            built = _cell_types(bounds, cell, 0)
             assert _count_certified(bounds, cell) == len(built), cell
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -757,11 +772,15 @@ class TestCountedCells:
             FibrationNumericalType.from_dict(row["type"]) for row in with_rows["rows"]
         }
         counted = [cell for cell in _cell_order(bounds) if _counted(cell)]
-        assert any(_cell_types(bounds, cell, 0, None) for cell in counted)
+        assert any(_cell_types(bounds, cell, 0) for cell in counted)
         for cell in counted:
-            assert set(_cell_types(bounds, cell, 0, None)) <= row_types, cell
+            assert set(_cell_types(bounds, cell, 0)) <= row_types, cell
 
-    @pytest.mark.parametrize("cell", [(2, 0, 4, False), (3, 1, 3, True)])
+    # elliptic, quasi-elliptic, and elliptic without condition U, whose
+    # partitions of t = 3 include the two-run 1 + 2
+    @pytest.mark.parametrize(
+        "cell", [(2, 0, 4, False), (3, 1, 3, True), (2, 1, 3, False)]
+    )
     def test_guard_counts_raw_combinations(self, cell, monkeypatch):
         from plurigenera import verifier
         from plurigenera.verifier import _sweep_cell
@@ -775,7 +794,7 @@ class TestCountedCells:
         monkeypatch.setattr(verifier, "MATERIAL_GUARD", raw)
         result = _sweep_cell(bounds, cell, False)
         assert result["counted"]
-        assert result["materialized"] == len(verifier._cell_types(bounds, cell, 0, raw))
+        assert result["materialized"] == len(verifier._cell_types(bounds, cell, 0))
 
     def test_certified_matches_material_up_to_chi_plus_t_4(self):
         bounds = EnumerationBounds(8, 3, 4, (2, 3))
@@ -938,7 +957,7 @@ class TestTameClasses:
 
         source = _tame_representatives(_cell_order(bounds))
         tame = [cell for cell in source if cell[2] == 0]
-        built = {cell: _cell_types_material(bounds, cell, None) for cell in tame}
+        built = {cell: _cell_types_material(bounds, cell) for cell in tame}
         assert len(set(map(source.get, tame))) < len(tame)
         assert any(built.values())
         for cell in tame:
@@ -952,16 +971,16 @@ class TestTameClasses:
         expected = [
             ty
             for cell in verifier._cell_order(bounds)
-            for ty in verifier._cell_types_material(bounds, cell, None)
+            for ty in verifier._cell_types_material(bounds, cell)
         ]
         sizes = _fake_pool(monkeypatch, 2)
         tame = []
         material = verifier._cell_types_material
 
-        def counting_material(bounds, cell, guard):
+        def counting_material(bounds, cell):
             if cell[2] == 0:
                 tame.append(cell)
-            return material(bounds, cell, guard)
+            return material(bounds, cell)
 
         monkeypatch.setattr(verifier, "_cell_types_material", counting_material)
         assert enumerate_types(bounds, jobs=jobs) == expected
@@ -987,7 +1006,7 @@ class TestTameClasses:
         expected = [
             ty
             for cell in _cell_order(bounds)
-            for ty in _cell_types_material(bounds, cell, None)
+            for ty in _cell_types_material(bounds, cell)
             if pred(exact_form(ty).series(13))
         ]
         hits = find_sharp_cases(bounds, predicate)
