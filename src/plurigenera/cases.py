@@ -65,7 +65,7 @@ def form_dominates(exact: QuasiLinearForm, bound: QuasiLinearForm) -> bool:
     return all(b <= e for b, e in zip(bound_keys, exact_keys))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StatementCheck:
     """The one evaluator of the four growth statements on a form F,
     reading P_n = max(0, F(n)): the series P_0 .. P_upto from one pass
@@ -84,10 +84,14 @@ class StatementCheck:
         if upto < 14:
             raise InvalidInputError(f"the statements read P_n up to n = 14, got {upto}")
         series = tuple(form.series(upto))
-        first1, first2 = (
-            next((n for n in range(1, 15) if series[n] >= target), None)
-            for target in (1, 2)
-        )
+        first1 = first2 = None
+        for n in range(1, 15):
+            if series[n] >= 1:
+                if first1 is None:
+                    first1 = n
+                if series[n] >= 2:
+                    first2 = n
+                    break
         return cls(series, first1, first2, form.eventually_at_least(14, 2))
 
     @property
@@ -111,7 +115,7 @@ class StatementCheck:
         return tuple(f"stmt{i}" for i, ok in enumerate(holds, start=1) if not ok)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaseReplay:
     """Outcome of replaying the branch analysis on one type."""
 
@@ -320,7 +324,7 @@ def _easy_chi2_bound(t):
     return QuasiLinearForm(1, 0, (HALF,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassCertificate:
     """A branch bound valid for every admissible type of a whole shape
     class within one (chi, t) cell; the member test is structural."""
@@ -329,7 +333,7 @@ class ClassCertificate:
     bound: QuasiLinearForm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellRow:
     """What the analysis says about one genus-zero (chi, t) cell: its case
     label, the branch that bounds each of its types, the class

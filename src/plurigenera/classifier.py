@@ -19,7 +19,7 @@ KOD0_SUBTYPES = ("Abelian", "K3", "Enriques", "hyperelliptic", "unresolved")
 TORSION_TUPLES = ((2, 2, 2, 2), (2, 3, 6), (2, 4, 4), (3, 3, 3))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurfaceInvariants:
     p12: int
     k2_min: int
@@ -42,7 +42,7 @@ class SurfaceInvariants:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KodairaClass:
     kodaira_class: str
     subtype: str | None = None

@@ -22,7 +22,7 @@ from .errors import (
 DEFAULT_ORACLE_BOUND = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConditionUInstance:
     """Multiplicities, torsion orders, and a distinguished 1-based index."""
 
@@ -79,10 +79,10 @@ def check_condition_U_bruteforce(
     combos = 1
     for j, m_j in enumerate(inst.m):
         combos *= (m_j // inst.nu[j]) if j == i else m_j
-    if combos > max_combos:
-        raise OracleBoundExceededError(
-            f"{combos} residue combinations exceed the oracle bound {max_combos}"
-        )
+        if combos > max_combos:  # stop before the product grows huge
+            raise OracleBoundExceededError(
+                f"the residue combinations exceed the oracle bound {max_combos}"
+            )
     weights = [big_m // m_j for m_j in inst.m]
     ranges = [
         range(1, m_j + 1, inst.nu[j]) if j == i else range(m_j)
@@ -148,7 +148,7 @@ def floor_sum(n: int, pairs) -> int:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuasiLinearForm:
     """const + linear*n + sum floor(n*a/m): the shape of every exact
     plurigenus formula and every branch bound used here."""

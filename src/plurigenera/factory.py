@@ -22,7 +22,7 @@ from .model import FibrationNumericalType, FibreDatum, factorization
 MAX_GROUP_ORDER = 10**5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AbelianGroupData:
     invariant_factors: tuple[int, ...]
     monodromies: tuple[tuple[int, ...], ...]

@@ -26,7 +26,7 @@ from .model import FIBRE_RULE_CACHE_SIZE, is_prime
 MAX_WILD_POWER = 2**12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoefficientSet:
     """Admissible canonical coefficients; ``sharp`` is false when no rule
     narrows the divisibility-constrained superset (t >= 3)."""
@@ -93,7 +93,7 @@ def second_jump_candidates(nu: int, p: int) -> frozenset[int]:
     return frozenset({2 * nu + 1, (p + 1) * nu + 1})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JumpProfile:
     """Torsion orders o_1..o_m of O_{nF'}(F') together with the jumping
     values <= m.  ``torsion_length`` is the number of those jumps, and

@@ -36,9 +36,9 @@ from .congruence import QuasiLinearForm
 from .errors import InvalidInputError, UnsupportedInputError
 
 # Bound of every cache keyed on caller input (the per-fibre rule cache,
-# factorizations, torsion lengths, wild fibre menus).  The default sweep
-# meets a few hundred keys per cache; a longer stream of arbitrary inputs
-# evicts the least recently used entries.
+# factorizations, torsion lengths, wild fibre menus, large-degree rows,
+# tame fibres).  The default sweep meets a few hundred keys per cache; a
+# longer stream of arbitrary inputs evicts the least recently used entries.
 FIBRE_RULE_CACHE_SIZE = 4096
 
 
@@ -95,7 +95,7 @@ def _check_int(name: str, value, minimum=None, maximum=None) -> int:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FibreDatum:
     """One multiple fibre: multiplicity m, canonical coefficient a,
     torsion order nu, power exponent e, and local torsion length t.
@@ -129,7 +129,12 @@ class FibreDatum:
 
     @classmethod
     def tame(cls, m: int) -> "FibreDatum":
-        """Tame fibre: coefficient m-1 and torsion order m."""
+        """Tame fibre: coefficient m-1 and torsion order m.  An ``int``
+        m >= 2 gets one shared instance per m (``_tame_fibre``); any other
+        m goes to the constructor, which raises ``InvalidInputError``."""
+        if type(m) is int and m >= 2:
+            return _tame_fibre(m)
+        _check_int("m", m, 2)
         return cls(m=m, a=m - 1, nu=m, e=0, t=0)
 
     @classmethod
@@ -157,13 +162,22 @@ class FibreDatum:
         return cls(m=data["m"], a=data["a"], nu=data["nu"], e=data["e"], t=data["t"])
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=FIBRE_RULE_CACHE_SIZE)
+def _tame_fibre(m: int) -> FibreDatum:
+    """The one shared tame fibre of multiplicity m (``FibreDatum.tame``)."""
+    return FibreDatum(m=m, a=m - 1, nu=m, e=0, t=0)
+
+
+@dataclass(frozen=True, slots=True)
 class FibrationNumericalType:
     """Complete numeric record of a fibration of Kodaira dimension one.
 
     Fibres are canonicalized on construction: sorted ascending by
-    (m, nu, t, a).  All values are immutable and hashable, so types can
-    be shared freely between concurrent workers.  ``torsion_length``, the
+    (m, nu, t, a).  Types and fibres are slotted immutable values (no
+    per-instance ``__dict__``), hashable and picklable, so they can be
+    shared freely between concurrent workers.  ``FibreDatum.tame``
+    returns one shared instance per multiplicity, so object identity is
+    not part of the API: compare with ``==``.  ``torsion_length``, the
     total length t of the torsion part of the direct image, is derived
     from the fibres once on construction; it takes no part in equality,
     hashing, ``repr`` or ``to_dict``.
@@ -270,7 +284,7 @@ class FibrationNumericalType:
         return cls.from_dict(data)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlurigenusValue:
     """An n-th plurigenus: exact when ``exact`` is true, otherwise a
     guaranteed lower bound (positive-genus base)."""

@@ -69,7 +69,6 @@ p in {2, 3}, which both pass the quasi-elliptic characteristic rule.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -107,7 +106,7 @@ from .model import (
 MATERIAL_GUARD = 5_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdmissibilityReport:
     admissible: bool
     violations: tuple[str, ...]
@@ -191,7 +190,7 @@ def is_admissible(t: FibrationNumericalType) -> AdmissibilityReport:
     return AdmissibilityReport(not violations, tuple(violations))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MainTheoremReport:
     p12: int
     stmt1: bool
@@ -259,7 +258,7 @@ def verify_tail(t: FibrationNumericalType, threshold: int, target: int) -> bool:
 # enumeration
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnumerationBounds:
     max_mult: int = 30
     max_fibres: int = 8
@@ -544,12 +543,13 @@ def _cell_candidates(bounds: EnumerationBounds, cell, max_tame: int):
 def _cell_types(bounds: EnumerationBounds, cell, max_tame: int):
     """The admissible types of one cell that pair a wild combination with
     at most ``max_tame`` tame fibres (``_cell_candidates``), canonically
-    sorted."""
+    sorted.  The tame fibres are the shared ``FibreDatum.tame`` instances
+    and the wild ones the ``_wild_data`` records, so the types of a cell
+    share their fibre objects."""
     p, chi, _, quasi = cell
     found = []
-    tame = {m: FibreDatum.tame(m) for m in range(2, bounds.max_mult + 1)}
     for shape, _, comp in _cell_candidates(bounds, cell, max_tame):
-        tames = tuple(tame[m] for m in comp)
+        tames = tuple(FibreDatum.tame(m) for m in comp)
         for wilds in _expand(shape):
             cand = FibrationNumericalType(
                 p=p, g=0, chi=chi, quasi_elliptic=quasi, fibres=wilds + tames
@@ -610,6 +610,8 @@ def _map_cells(work, bounds: EnumerationBounds, cells, jobs: int, *args) -> list
     if processes <= 1:
         results = [work(*task) for task in tasks]
     else:
+        import multiprocessing  # here: only a pool needs it, not every start
+
         context = multiprocessing.get_context("spawn")
         with context.Pool(processes=processes) as pool:
             results = pool.starmap(work, tasks)

@@ -129,6 +129,15 @@ class TestUCheck:
         assert env["result"]["condition_u"] is True
         assert env["result"]["oracle"] is True
 
+    def test_oracle_refusal_past_the_digit_limit(self, capsys):
+        m = str(10**4000)
+        code, env = run_json(
+            capsys, ["u-check", "--m", f"{m},{m}", "--nu", "1,1", "--i", "1", "--oracle"]
+        )
+        assert code == 1
+        assert env["result"]["error"] == "invalid-input"
+        assert "oracle bound" in env["result"]["message"]
+
 
 class TestClassify:
     def test_class_iii(self, capsys):

@@ -169,6 +169,13 @@ class TestOracleAgreement:
         with pytest.raises(OracleBoundExceededError):
             check_condition_U_bruteforce(big, max_combos=1000)
 
+    def test_oracle_bound_past_the_digit_limit(self):
+        # the product of the residue counts (10**8000) is never formed
+        # nor printed, so the refusal is typed and not a ValueError
+        m = 10**4000
+        with pytest.raises(OracleBoundExceededError, match="oracle bound"):
+            check_condition_U_bruteforce(inst((m, m), (1, 1), 1))
+
 
 class TestClosure:
     def test_366(self):

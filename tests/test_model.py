@@ -1,6 +1,9 @@
 """Numerical model: degree, slope, exact plurigenera, generic bounds."""
 
 import math
+import pickle
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -21,7 +24,12 @@ from plurigenera import (
     slope,
     verify_main_theorem,
 )
-from plurigenera.model import MAX_SERIES_N, plurigenus_form
+from plurigenera.model import (
+    FIBRE_RULE_CACHE_SIZE,
+    MAX_SERIES_N,
+    _tame_fibre,
+    plurigenus_form,
+)
 
 
 def tame(ms, chi=0, g=0, p=0):
@@ -350,3 +358,61 @@ class TestJson:
     def test_exact_types(self):
         assert isinstance(slope(T266), Fraction)
         assert isinstance(plurigenus(T266, 12).value, int)
+
+
+class TestCompactLayout:
+    """Types and fibres are slotted values, and a tame fibre is shared
+    per multiplicity."""
+
+    WILD_3 = FibrationNumericalType(
+        p=2, g=0, chi=0, quasi_elliptic=False,
+        fibres=(FibreDatum.wild_fibre(p=2, nu=1, e=2, t=2, a=1),) + WILD_421.fibres,
+        existence_unknown=True,
+    )
+
+    def test_no_instance_dict(self):
+        for value in (FibreDatum.tame(2), WILD_421.fibres[0], T266, WILD_421):
+            assert not hasattr(value, "__dict__")
+
+    def test_pickle_round_trip(self):
+        for t in (T266, WILD_421, self.WILD_3, tame((), g=2, chi=1)):
+            back = pickle.loads(pickle.dumps(t))
+            assert back == t and hash(back) == hash(t)
+            assert back.torsion_length == t.torsion_length
+        assert self.WILD_3.torsion_length == 3
+
+    def test_tame_fibre_is_shared(self):
+        assert FibreDatum.tame(7) is FibreDatum.tame(7)
+        t = tame((2, 6, 6))
+        assert t.fibres[1] is t.fibres[2] is FibreDatum.tame(6)
+        assert FibreDatum.tame(7) == FibreDatum(m=7, a=6, nu=7, e=0, t=0)
+
+    @pytest.mark.parametrize("m", [5.0, True, "5", 1, 0, -3])
+    def test_tame_rejects_what_the_constructor_rejects(self, m):
+        with pytest.raises(InvalidInputError):
+            FibreDatum.tame(m)
+
+    def test_tame_cache_is_bounded(self):
+        assert _tame_fibre.cache_info().maxsize == FIBRE_RULE_CACHE_SIZE
+        for m in range(2, FIBRE_RULE_CACHE_SIZE + 1000):
+            FibreDatum.tame(m)
+        assert _tame_fibre.cache_info().currsize == FIBRE_RULE_CACHE_SIZE
+
+    def test_bytes_per_tame_type(self):
+        # 10,000 seeded tame types with 1-6 fibres, m <= 30: a type holds
+        # its slots and its fibre tuple, and shares its fibres
+        rng = random.Random(20)
+        specs = [
+            tuple(rng.randint(2, 30) for _ in range(rng.randint(1, 6)))
+            for _ in range(10_000)
+        ]
+        for m in range(2, 31):
+            FibreDatum.tame(m)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            types = [FibrationNumericalType.tame_type(ms) for ms in specs]
+            per_type = (tracemalloc.get_traced_memory()[0] - before) / len(types)
+        finally:
+            tracemalloc.stop()
+        assert per_type <= 250, per_type

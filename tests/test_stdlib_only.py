@@ -1,6 +1,9 @@
-"""The runtime imports nothing outside the standard library."""
+"""The runtime imports nothing outside the standard library, and
+nothing it does not need at import time."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,3 +26,21 @@ def test_absolute_imports_are_stdlib():
                 if name.split(".")[0] not in sys.stdlib_module_names:
                     outside.setdefault(path.name, []).append(name)
     assert not outside
+
+
+def test_import_leaves_multiprocessing_out():
+    # only a process pool needs multiprocessing, and every CLI start
+    # would pay its import
+    code = (
+        "import sys, plurigenera, plurigenera.cli; "
+        "print('multiprocessing' in sys.modules)"
+    )
+    path = os.pathsep.join(
+        filter(None, [str(SOURCE_DIR.parent), os.environ.get("PYTHONPATH")])
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"

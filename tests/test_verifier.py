@@ -1,5 +1,9 @@
 """Admissibility, statement verification, enumeration, and the sweep."""
 
+import dataclasses
+import importlib
+import pickle
+import pkgutil
 import re
 import time
 from dataclasses import replace
@@ -9,6 +13,7 @@ from math import lcm
 
 import pytest
 
+import plurigenera
 from plurigenera import (
     EnumerationBounds,
     FibrationNumericalType,
@@ -228,6 +233,26 @@ class TestMainTheorem:
             [1] + [formula(n) for n in range(1, 15 + 2 * period)]
         )
         assert rep.p12 == rep.series[12] and not rep.exact
+
+
+class TestCompactLayout:
+    def test_report_has_no_instance_dict(self):
+        rep = verify_main_theorem(tame((2, 6, 6)))
+        assert not hasattr(rep, "__dict__")
+        back = pickle.loads(pickle.dumps(rep))
+        assert back == rep and hash(back) == hash(rep)
+
+    def test_every_value_class_is_slotted_and_frozen(self):
+        classes = [
+            cls
+            for module in pkgutil.iter_modules(plurigenera.__path__)
+            for cls in vars(importlib.import_module(f"plurigenera.{module.name}")).values()
+            if dataclasses.is_dataclass(cls) and cls.__module__.startswith("plurigenera.")
+        ]
+        assert FibrationNumericalType in classes and len(set(classes)) >= 17
+        for cls in classes:
+            assert "__slots__" in vars(cls), cls.__name__
+            assert cls.__dataclass_params__.frozen, cls.__name__
 
 
 class TestTail:
