@@ -129,13 +129,12 @@ class FibreDatum:
 
     @classmethod
     def tame(cls, m: int) -> "FibreDatum":
-        """Tame fibre: coefficient m-1 and torsion order m.  An ``int``
-        m >= 2 gets one shared instance per m (``_tame_fibre``); any other
-        m goes to the constructor, which raises ``InvalidInputError``."""
-        if type(m) is int and m >= 2:
-            return _tame_fibre(m)
-        _check_int("m", m, 2)
-        return cls(m=m, a=m - 1, nu=m, e=0, t=0)
+        """Tame fibre: coefficient m-1 and torsion order m, one shared
+        instance per m (``_tame_fibre``).  ``_check_int`` rejects any m
+        that is not an int >= 2 with ``InvalidInputError``."""
+        if type(m) is not int or m < 2:
+            _check_int("m", m, 2)
+        return _tame_fibre(m)
 
     @classmethod
     def wild_fibre(cls, p: int, nu: int, e: int, t: int, a: int) -> "FibreDatum":
