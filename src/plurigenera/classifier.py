@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _check_int
 from .model import validate_characteristic
 
 KOD_CLASSES = ("I", "II", "III", "IV")
@@ -30,6 +30,10 @@ class SurfaceInvariants:
     p: int = 0
 
     def __post_init__(self):
+        for name in ("p12", "k2_min", "pg", "q"):
+            _check_int(name, getattr(self, name))
+        if self.canonical_torsion is not None:
+            _check_int("canonical_torsion", self.canonical_torsion)
         if self.p12 < 0 or self.pg < 0 or self.q < 0:
             raise InvalidInputError("p12, pg, q must be nonnegative")
         validate_characteristic(self.p)

@@ -17,6 +17,7 @@ from .errors import (
     InvalidInputError,
     OracleBoundExceededError,
     UnsupportedInputError,
+    _check_int,
 )
 
 DEFAULT_ORACLE_BOUND = 10**6
@@ -31,12 +32,12 @@ class ConditionUInstance:
     i: int
 
     def __post_init__(self):
-        object.__setattr__(self, "m", tuple(self.m))
-        object.__setattr__(self, "nu", tuple(self.nu))
+        object.__setattr__(self, "m", tuple(_check_int("m", m_j) for m_j in self.m))
+        object.__setattr__(self, "nu", tuple(_check_int("nu", nu_j) for nu_j in self.nu))
         if len(self.m) != len(self.nu) or not self.m:
             raise InvalidInputError("m and nu must be nonempty lists of equal length")
         _check_u_data(self.m, self.nu)
-        if not 1 <= self.i <= len(self.m):
+        if not 1 <= _check_int("i", self.i) <= len(self.m):
             raise InvalidInputError(f"index i out of range: {self.i}")
 
 
@@ -158,7 +159,16 @@ class QuasiLinearForm:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple((a, m) for a, m in self.pairs))
+        # every field an int: the fast type test sends any other value,
+        # and any int subclass, to ``_check_int``
+        given = tuple(self.pairs)
+        pairs = tuple((a, m) for a, m in given if type(a) is int is type(m))
+        typed = type(self.const) is int and type(self.linear) is int
+        if not typed or len(pairs) != len(given):
+            _check_int("const", self.const)
+            _check_int("linear", self.linear)
+            pairs = tuple((_check_int("a", a), _check_int("m", m)) for a, m in given)
+        object.__setattr__(self, "pairs", pairs)
 
     def value(self, n: int) -> int:
         return self.const + self.linear * n + floor_sum(n, self.pairs)

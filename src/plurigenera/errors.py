@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer
+field check that raises them."""
 
 
 class PlurigeneraError(Exception):
@@ -27,3 +28,15 @@ class InadmissibleTypeError(PlurigeneraError):
 
 class OracleBoundExceededError(PlurigeneraError):
     """A brute-force oracle refused to run above its configured bound."""
+
+
+def _check_int(name: str, value, minimum=None, maximum=None) -> int:
+    """``value`` if it is an int (not a bool) in [minimum, maximum], else
+    ``InvalidInputError``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InvalidInputError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise InvalidInputError(f"{name} must be <= {maximum}, got {value}")
+    return value

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .congruence import QuasiLinearForm
-from .errors import InvalidInputError, UnsupportedInputError
+from .errors import InvalidInputError, UnsupportedInputError, _check_int
 
 # Bound of every cache keyed on caller input (the per-fibre rule cache,
 # factorizations, torsion lengths, wild fibre menus, large-degree rows,
@@ -83,16 +83,6 @@ def validate_characteristic(p: int) -> int:
     if p != 0 and not is_prime(p):
         raise InvalidInputError(f"characteristic must be 0 or prime, got {p}")
     return p
-
-
-def _check_int(name: str, value, minimum=None, maximum=None) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise InvalidInputError(f"{name} must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise InvalidInputError(f"{name} must be <= {maximum}, got {value}")
-    return value
 
 
 @dataclass(frozen=True, slots=True)

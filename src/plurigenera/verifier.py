@@ -46,10 +46,11 @@ easy-large-degree (P_n >= n*d + 1), bounds every type termwise, and
 every wild combination is admissible unless U applies and its shape
 fails U.  So the count is the summed weights of the shapes of
 ``_cell_candidates`` with no free slot, the stream that building the
-cell reads, guarded on the same running total.  It builds them in
-two cases: with ``keep_rows``, which needs a row per type, and when the
-sweep's maximum first1 or first2 is at most 1 (as at ``max_fibres=1``),
-when the attainer lists include every counted type.  ``materialized``
+cell reads, guarded on the same running total.  It builds them only
+with ``keep_rows``, which needs a row per type.  When the sweep's
+maximum first1 or first2 is at most 1 (as at ``max_fibres=1``), the
+attainer lists include every counted type: ``verify_all`` fills them in
+place from ``_cell_types``, and sweeps no cell twice.  ``materialized``
 and ``total_materialized`` count the covered types, built or counted;
 a tame cell that its row covers whole is reported through one stand-in
 per certificate (``_materialize_certified``).
@@ -86,6 +87,7 @@ from .errors import (
     InadmissibleTypeError,
     InvalidInputError,
     UnsupportedInputError,
+    _check_int,
 )
 from .fibre_local import (
     achievable_torsion_lengths,
@@ -95,7 +97,6 @@ from .model import (
     FIBRE_RULE_CACHE_SIZE,
     FibrationNumericalType,
     FibreDatum,
-    _check_int,
     factorization,
     plurigenus,  # noqa: F401 - perfbench's tracer wraps verifier.plurigenus
     plurigenus_form,
@@ -246,6 +247,8 @@ def verify_main_theorem(t: FibrationNumericalType) -> MainTheoremReport:
 
 def verify_tail(t: FibrationNumericalType, threshold: int, target: int) -> bool:
     """Exactly decide ``P_n >= target for all n >= threshold`` (g = 0)."""
+    _check_int("threshold", threshold)
+    _check_int("target", target)
     if t.g != 0:
         raise UnsupportedInputError("verify_tail requires a genus-zero base")
     _require_admissible(t)
@@ -271,6 +274,11 @@ class EnumerationBounds:
         _check_int("max_mult", self.max_mult, 2)
         _check_int("max_fibres", self.max_fibres, 1)
         _check_int("max_chi_plus_t", self.max_chi_plus_t, 0)
+        if not isinstance(self.characteristics, (tuple, list)):
+            raise InvalidInputError("characteristics must be a list of integers")
+        for flag in ("include_wild", "include_quasi_elliptic"):
+            if not isinstance(getattr(self, flag), bool):
+                raise InvalidInputError(f"{flag} must be a boolean")
         ps = sorted({validate_characteristic(p) for p in self.characteristics})
         object.__setattr__(self, "characteristics", tuple(ps))
 
@@ -374,12 +382,6 @@ def _multisets_upto(max_mult: int, max_size: int):
     values = range(2, max_mult + 1)
     for k in range(max_size + 1):
         yield from combinations_with_replacement(values, k)
-
-
-def _multichoose(n: int, k: int) -> int:
-    """The number of multisets of size k drawn from n kinds (1 for k = 0,
-    also when n = 0)."""
-    return comb(n + k - 1, k) if k else 1
 
 
 def _covered_companions(max_mult: int, max_size: int, wilds):
@@ -506,8 +508,8 @@ def _check_estimates(bounds: EnumerationBounds, cells):
             continue
         first = next(_wild_combos(p, t, bounds.max_fibres, bounds.max_mult), None)
         slots = bounds.max_fibres - len(first[0]) if first else 0
-        est = sum(_multichoose(bounds.max_mult - 1, k) for k in range(slots + 1))
-        if slots and est > MATERIAL_GUARD:
+        est = comb(bounds.max_mult - 1 + slots, slots)  # multisets of size <= slots
+        if est > MATERIAL_GUARD:
             reason = f"would materialize ~{est} candidate types, more than"
             raise _refusal((p, chi, t, quasi), reason)
 
@@ -603,6 +605,7 @@ def _map_cells(work, bounds: EnumerationBounds, cells, jobs: int, *args) -> list
     cell.  With ``jobs > 1`` the runs go to a pool of spawned worker
     processes, at most one per run and one per CPU; runs are
     independent, so the results do not depend on ``jobs``."""
+    _check_int("jobs", jobs)  # any int: jobs <= 1 runs serially
     source = _tame_representatives(cells)
     runs = [cell for cell in cells if source[cell] == cell]
     tasks = [(bounds, cell, *args) for cell in runs]
@@ -652,10 +655,9 @@ def _materialize_certified(bounds: EnumerationBounds, cell):
     """The residual of one cell's row: the finitely many shapes that the
     class certificates do not cover.  A wild cell that its row covers
     whole gives its bare wild combinations, which the sweep counts
-    (``_count_certified``) unless it keeps rows or needs their
-    attainers; a tame one gives a stand-in per certificate, the tame
-    type with the multiplicities of the certificate's bound, whose exact
-    form is that bound."""
+    (``_count_certified``) unless it keeps rows; a tame one gives a
+    stand-in per certificate, the tame type with the multiplicities of
+    the certificate's bound, whose exact form is that bound."""
     p, chi, t, quasi = cell
     row = cell_row(chi, t)
     if row.tame_cap is not None or t > 0:
@@ -712,41 +714,27 @@ def _raise_max(best: tuple[int, list], value: int, attainers) -> tuple[int, list
 def _sweep_cell(
     bounds: EnumerationBounds, cell, materialize_all: bool, keep_rows: bool = False
 ) -> dict:
-    """One cell's part of the report.  A counted cell (certified mode,
-    no rows) reports its count and its label but not its attainers: each
-    of its types attains first1 = first2 = 1, and ``verify_all`` builds
-    the cell when no other cell beats that."""
-    if materialize_all or keep_rows or not _counted(cell):
-        return _sweep_built(bounds, cell, materialize_all, keep_rows)
-    _, chi, t, _ = cell
-    count = _count_certified(bounds, cell)
-    top = 1 if count else 0
-    result = {
-        "materialized": count,
-        "labels": {cell_row(chi, t).label: count} if count else {},
-        "counterexamples": [],
-        "replay_failures": [],
-        "first1": (top, []),
-        "first2": (top, []),
-        "p13_le_1": [],
-        "rows": [],
-        "counted": True,
-    }
-    return _finish_cell(cell, result, certified=True)
-
-
-def _sweep_built(
-    bounds: EnumerationBounds, cell, materialize_all: bool, keep_rows: bool
-) -> dict:
-    """One cell's part of the report, from its types checked one by one."""
+    """One cell's part of the report, from its types checked one by one:
+    every type in material mode, else its row's residual
+    (``_materialize_certified``).  A counted cell (certified mode, no
+    rows) builds no type: it adds its count to ``materialized`` and to its
+    label, and each of its types attains first1 = first2 = 1, whose
+    attainers ``verify_all`` fills in when no other cell beats that.  In
+    certified mode the cell's class certificates are reported too, each
+    that fails a statement also as a counterexample."""
+    p, chi, t, quasi = cell
+    row = cell_row(chi, t)
+    counted = not (materialize_all or keep_rows) and _counted(cell)
+    count = _count_certified(bounds, cell) if counted else 0
     if materialize_all:
         types = _cell_types_material(bounds, cell)
     else:
-        types = _materialize_certified(bounds, cell)
-    labels: dict[str, int] = {}
+        types = [] if counted else _materialize_certified(bounds, cell)
+    labels = {row.label: count} if count else {}
     counterexamples = []
     replay_failures = []
-    first1, first2 = (0, []), (0, [])
+    top = 1 if count else 0
+    first1, first2 = (top, []), (top, [])
     p13_low = []
     rows = []
     for ty in types:
@@ -769,31 +757,12 @@ def _sweep_built(
             rows.append(
                 {"type": ty.to_dict(), "label": label, "series": list(check.series[1:])}
             )
-    result = {
-        "materialized": len(types),
-        "labels": labels,
-        "counterexamples": counterexamples,
-        "replay_failures": replay_failures,
-        "first1": (first1[0], [ty.to_dict() for ty in first1[1]]),
-        "first2": (first2[0], [ty.to_dict() for ty in first2[1]]),
-        "p13_le_1": p13_low,
-        "rows": rows,
-        "counted": False,
-    }
-    return _finish_cell(cell, result, certified=not materialize_all)
-
-
-def _finish_cell(cell, result: dict, certified: bool) -> dict:
-    """Add the cell key and, in certified mode, the cell's class
-    certificates, reporting each that fails a statement."""
-    p, chi, t, quasi = cell
     key = {"p": p, "chi": chi, "t": t, "quasi_elliptic": quasi}
-    row = cell_row(chi, t)
-    entries = []
-    for cert in row.certificates if certified else ():
+    certified = []
+    for cert in () if materialize_all else row.certificates:
         check = StatementCheck.from_form(cert.bound)
         ok = not check.failed
-        entries.append(
+        certified.append(
             {
                 "name": cert.name,
                 "label": row.label,
@@ -805,10 +774,20 @@ def _finish_cell(cell, result: dict, certified: bool) -> dict:
             }
         )
         if not ok:
-            result["counterexamples"].append({"certificate": cert.name, "cell": key})
-    result["cell"] = key
-    result["certified"] = entries
-    return result
+            counterexamples.append({"certificate": cert.name, "cell": key})
+    return {
+        "cell": key,
+        "materialized": count + len(types),
+        "labels": labels,
+        "counterexamples": counterexamples,
+        "replay_failures": replay_failures,
+        "first1": (first1[0], [ty.to_dict() for ty in first1[1]]),
+        "first2": (first2[0], [ty.to_dict() for ty in first2[1]]),
+        "p13_le_1": p13_low,
+        "rows": rows,
+        "certified": certified,
+        "counted": counted,
+    }
 
 
 def verify_all(
@@ -828,13 +807,11 @@ def verify_all(
     top2 = max((res["first2"][0] for res in results), default=0)
     if min(top1, top2) <= 1:
         # the attainers of first1 = 1 or first2 = 1 include every type of
-        # every counted cell, so those cells are built after all
-        results = [
-            _sweep_built(bounds, cell, materialize_all=False, keep_rows=False)
-            if res["counted"]
-            else res
-            for cell, res in zip(cells, results)
-        ]
+        # every counted cell, in the order building the cell lists them
+        for cell, res in zip(cells, results):
+            if res["counted"]:
+                types = [ty.to_dict() for ty in _cell_types(bounds, cell, 0)]
+                res["first1"] = res["first2"] = (res["first1"][0], types)
 
     labels: dict[str, int] = {}
     counterexamples = []
@@ -852,8 +829,7 @@ def verify_all(
         replay_failures.extend(res["replay_failures"])
         certified.extend(res["certified"])
         p13_low.extend(res["p13_le_1"])
-        if keep_rows:
-            rows.extend(res["rows"])
+        rows.extend(res["rows"])
         first1 = _raise_max(first1, *res["first1"])
         first2 = _raise_max(first2, *res["first2"])
     first1_max, first1_attainers = first1
@@ -913,7 +889,7 @@ def find_sharp_cases(bounds: EnumerationBounds, predicate_id: str):
     """All admissible enumerated types satisfying a named sharpness
     predicate (full materialization within the given bounds, one cell at
     a time, keeping only the hits)."""
-    if predicate_id not in _PREDICATES:
+    if not isinstance(predicate_id, str) or predicate_id not in _PREDICATES:
         raise InvalidInputError(
             f"unknown predicate {predicate_id!r}; choose from "
             f"{sorted(_PREDICATES)}"

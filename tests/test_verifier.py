@@ -9,7 +9,7 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import lcm
+from math import comb, lcm
 
 import pytest
 
@@ -736,6 +736,9 @@ class TestCountedCells:
          "4bd46f192a5b9b9a076b5d449a75f94c68a48d645f38929a20774ad71379c65c"),
         (EnumerationBounds(10, 1, 3, (2,)),
          "23f531ad1d735c2a81495f343ead5da6147c74271bb98755e1f034f70ab82f1d"),
+        # max first1 = 1 (36 attainers), max first2 = 2 (8 attainers)
+        (EnumerationBounds(2, 2, 4, (2, 3)),
+         "3e2713c74bc3cef2df1d50ad21d47bc8f944cc1fe71b00c7119db5047c0c3b6a"),
     ]
     BOUNDS = [bounds for bounds, _ in PINNED]
     # max_mult 2 to 4, a single characteristic, and chi + t = 5
@@ -746,12 +749,14 @@ class TestCountedCells:
         EnumerationBounds(12, 2, 5, (2, 3, 5)),
     ]
 
-    def test_multichoose(self):
-        from plurigenera.verifier import _multichoose
+    def test_multiset_estimate_is_the_multiset_count(self):
+        # the closed form of _check_estimates: the multisets of at most s
+        # values from 2..n
+        from plurigenera.verifier import _multisets_upto
 
-        assert _multichoose(0, 0) == 1 and _multichoose(5, 0) == 1
-        assert _multichoose(0, 2) == 0
-        assert _multichoose(3, 2) == len(list(combinations_with_replacement(range(3), 2)))
+        for n in range(2, 13):
+            for s in range(6):
+                assert comb(n - 1 + s, s) == len(list(_multisets_upto(n, s)))
 
     @pytest.mark.parametrize("bounds", BOUNDS + SMALL_BOUNDS)
     def test_count_matches_built_types(self, bounds):
@@ -773,10 +778,25 @@ class TestCountedCells:
         for bounds, digest in self.PINNED:
             assert _digest(verify_all(bounds, jobs=jobs)) == digest, bounds
 
-    def test_attainers_are_built_when_counted_cells_attain_the_maximum(self):
+    def test_attainers_are_built_when_counted_cells_attain_the_maximum(
+        self, monkeypatch
+    ):
         # at max_fibres = 1 no type needs n >= 2 for P_n >= 1, so every
-        # type of every counted cell attains max first1 = 1
+        # type of every counted cell attains max first1 = 1; the
+        # attainers are filled in, and no counted cell is swept again
+        from plurigenera import verifier
+
+        swept = []
+        materialize = verifier._materialize_certified
+
+        def recording(bounds, cell):
+            swept.append(cell)
+            return materialize(bounds, cell)
+
+        monkeypatch.setattr(verifier, "_materialize_certified", recording)
         rep = verify_all(EnumerationBounds(10, 1, 3, (2,)))
+        assert swept and not any(verifier._counted(cell) for cell in swept)
+        assert len(swept) == len(set(swept))
         ex = rep["extremes"]
         assert ex["max_first_nonzero"] == 1
         attainers = ex["max_first_nonzero_attainers"]
@@ -944,7 +964,7 @@ class TestTameClasses:
 
         sizes = _fake_pool(monkeypatch, 2)
         walks, built = [], []
-        walk, sweep_built = verifier._covered_companions, verifier._sweep_built
+        walk, sweep_cell = verifier._covered_companions, verifier._sweep_cell
 
         def counting_walk(max_mult, max_size, wilds):
             if not wilds:
@@ -954,10 +974,10 @@ class TestTameClasses:
         def counting_built(bounds, cell, *args):
             if cell[2] == 0:
                 built.append(cell)
-            return sweep_built(bounds, cell, *args)
+            return sweep_cell(bounds, cell, *args)
 
         monkeypatch.setattr(verifier, "_covered_companions", counting_walk)
-        monkeypatch.setattr(verifier, "_sweep_built", counting_built)
+        monkeypatch.setattr(verifier, "_sweep_cell", counting_built)
         bounds = EnumerationBounds()
         report = verify_all(bounds, jobs=jobs)
         assert report["counterexamples"] == [] and report["replay_failures"] == []
@@ -1073,3 +1093,38 @@ class TestSharpCases:
     def test_unknown_predicate(self):
         with pytest.raises(InvalidInputError):
             find_sharp_cases(CASE4_SMALL, "p42-zero")
+
+
+TINY = EnumerationBounds(4, 2, 1, (0, 2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # congruence fields
+        lambda: ConditionUInstance((2,), (1,), "1"),
+        lambda: ConditionUInstance(("2",), (1,), 1),
+        lambda: plurigenera.QuasiLinearForm(1, 0, (("a", 2),)).series(3),
+        lambda: plurigenera.QuasiLinearForm(1.5, 0, ()).series(3),
+        # cover data: no truncation of a non-integer
+        lambda: plurigenera.AbelianGroupData((2.5,), ((1,), (1,))),
+        lambda: plurigenera.AbelianGroupData((6,), ((1.9,), (4,), (1,))),
+        lambda: plurigenera.AbelianGroupData(("a",), ((1,),)),
+        # library entry points
+        lambda: EnumerationBounds(characteristics=5),
+        lambda: EnumerationBounds(include_wild="no"),
+        lambda: verify_all(TINY, jobs="2"),
+        lambda: enumerate_types(TINY, jobs=1.5),
+        lambda: find_sharp_cases(TINY, ["x"]),
+        lambda: verify_tail(T266, "14", 2),
+        lambda: plurigenera.SurfaceInvariants("1", 0),
+    ],
+)
+def test_malformed_library_input_raises_invalid_input(call):
+    with pytest.raises(InvalidInputError):
+        call()
+
+
+def test_jobs_below_one_runs_serially():
+    # jobs is checked for its type only, as the CLI's --jobs 0 relies on
+    assert verify_all(TINY, jobs=0) == verify_all(TINY, jobs=1)
