@@ -18,8 +18,6 @@ from .congruence import (
     check_all_U,
     check_condition_U,
     check_condition_U_bruteforce,
-    divisibility_closure_r3,
-    floor_sum,
 )
 from .errors import (
     InadmissibleTypeError,
@@ -36,18 +34,14 @@ from .factory import (
 )
 from .fibre_local import (
     CoefficientSet,
-    JumpProfile,
     achievable_torsion_lengths,
     admissible_coefficients,
-    enumerate_jump_profiles,
-    second_jump_candidates,
 )
 from .model import (
     FibrationNumericalType,
     FibreDatum,
     PlurigenusValue,
     delta_degree,
-    generic_lower_bound,
     geometric_genus,
     plurigenera_series,
     plurigenus,
@@ -75,7 +69,6 @@ __all__ = [
     "FibreDatum",
     "InadmissibleTypeError",
     "InvalidInputError",
-    "JumpProfile",
     "KodairaClass",
     "MainTheoremReport",
     "OracleBoundExceededError",
@@ -85,8 +78,8 @@ __all__ = [
     "SurfaceInvariants",
     "UnsupportedInputError",
     "achievable_torsion_lengths",
-    "bad_characteristics",
     "admissible_coefficients",
+    "bad_characteristics",
     "check_all_U",
     "check_condition_U",
     "check_condition_U_bruteforce",
@@ -94,18 +87,13 @@ __all__ = [
     "classify_kod0_subtype",
     "cover_to_type",
     "delta_degree",
-    "divisibility_closure_r3",
-    "enumerate_jump_profiles",
     "enumerate_types",
     "find_sharp_cases",
-    "floor_sum",
-    "generic_lower_bound",
     "geometric_genus",
     "is_admissible",
     "plurigenera_series",
     "plurigenus",
     "riemann_hurwitz_genus",
-    "second_jump_candidates",
     "slope",
     "torsion_solutions",
     "verify_all",

@@ -38,16 +38,6 @@ from .model import FIBRE_RULE_CACHE_SIZE, FibrationNumericalType, exact_form
 HALF = (1, 2)
 
 
-def section4_label(t: FibrationNumericalType) -> str:
-    """Which branch of the case analysis the type belongs to: for a
-    genus-zero type, the label of its (chi, t) row (``cell_row``)."""
-    if t.g == 0:
-        return cell_row(t.chi, t.torsion_length).label
-    if t.chi + t.torsion_length >= 1:
-        return "easy-positive-genus"
-    return "easy-genus-ge-2" if t.g >= 2 else "easy-genus-1"
-
-
 def form_dominates(exact: QuasiLinearForm, bound: QuasiLinearForm) -> bool:
     """Termwise certificate that bound.value(n) <= exact.value(n) for all
     n >= 0: constants and linear parts compare, and the bound's floor

@@ -34,6 +34,8 @@ class SurfaceInvariants:
             _check_int(name, getattr(self, name))
         if self.canonical_torsion is not None:
             _check_int("canonical_torsion", self.canonical_torsion)
+        if type(self.minimal) is not bool:
+            raise InvalidInputError("minimal must be a boolean")
         if self.p12 < 0 or self.pg < 0 or self.q < 0:
             raise InvalidInputError("p12, pg, q must be nonnegative")
         validate_characteristic(self.p)

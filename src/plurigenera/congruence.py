@@ -1,4 +1,4 @@
-"""Condition U and shared floor-sum / quasi-linear utilities.
+"""Condition U and the quasi-linear forms of the plurigenus arithmetic.
 
 Condition U_i on sequences (m_1..m_r | nu_1..nu_r) asks for integers
 n_1..n_r with n_i = 1 mod nu_i and sum n_j/m_j integral.  Two deciders
@@ -18,6 +18,7 @@ from .errors import (
     OracleBoundExceededError,
     UnsupportedInputError,
     _check_int,
+    _check_ints,
 )
 
 DEFAULT_ORACLE_BOUND = 10**6
@@ -32,8 +33,8 @@ class ConditionUInstance:
     i: int
 
     def __post_init__(self):
-        object.__setattr__(self, "m", tuple(_check_int("m", m_j) for m_j in self.m))
-        object.__setattr__(self, "nu", tuple(_check_int("nu", nu_j) for nu_j in self.nu))
+        object.__setattr__(self, "m", _check_ints("m", self.m))
+        object.__setattr__(self, "nu", _check_ints("nu", self.nu))
         if len(self.m) != len(self.nu) or not self.m:
             raise InvalidInputError("m and nu must be nonempty lists of equal length")
         _check_u_data(self.m, self.nu)
@@ -128,56 +129,46 @@ def _all_u(m, nu) -> bool:
     return True
 
 
-def divisibility_closure_r3(m1: int, m2: int, m3: int) -> bool:
-    """Each multiplicity divides the lcm of the other two (tame triples)."""
-    return (
-        lcm(m2, m3) % m1 == 0
-        and lcm(m1, m3) % m2 == 0
-        and lcm(m1, m2) % m3 == 0
-    )
-
-
-def floor_sum(n: int, pairs) -> int:
-    """sum floor(n*a/m) with exact integer arithmetic (n >= 0, a >= 0)."""
-    if n < 0:
-        raise InvalidInputError(f"n must be >= 0, got {n}")
-    total = 0
-    for a, m in pairs:
-        if m < 1 or a < 0:
-            raise InvalidInputError(f"need m >= 1 and a >= 0, got ({a}, {m})")
-        total += (n * a) // m
-    return total
-
-
 @dataclass(frozen=True, slots=True)
 class QuasiLinearForm:
-    """const + linear*n + sum floor(n*a/m): the shape of every exact
-    plurigenus formula and every branch bound used here."""
+    """const + linear*n + sum floor(n*a/m), validated once when built: the
+    shape of every exact plurigenus formula and every branch bound here."""
 
     const: int
     linear: int
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        # every field an int: the fast type test sends any other value,
-        # and any int subclass, to ``_check_int``
-        given = tuple(self.pairs)
-        pairs = tuple((a, m) for a, m in given if type(a) is int is type(m))
+        # every field an int, every pair (a >= 0, m >= 1): the fast test
+        # sends any other value, and any int subclass, to ``_check_int``
+        try:
+            given = tuple(self.pairs)
+            pairs = tuple(
+                (a, m) for a, m in given
+                if type(a) is int is type(m) and a >= 0 and m >= 1
+            )
+        except (TypeError, ValueError):  # not an iterable of 2-item pairs
+            raise InvalidInputError("pairs must be a sequence of (a, m) pairs") from None
         typed = type(self.const) is int and type(self.linear) is int
         if not typed or len(pairs) != len(given):
             _check_int("const", self.const)
             _check_int("linear", self.linear)
-            pairs = tuple((_check_int("a", a), _check_int("m", m)) for a, m in given)
+            pairs = tuple((_check_int("a", a, 0), _check_int("m", m, 1)) for a, m in given)
         object.__setattr__(self, "pairs", pairs)
 
     def value(self, n: int) -> int:
-        return self.const + self.linear * n + floor_sum(n, self.pairs)
+        if type(n) is not int or n < 0:
+            _check_int("n", n, 0)
+        v = self.const + self.linear * n
+        for a, m in self.pairs:
+            v += n * a // m
+        return v
 
     def series(self, n_max: int) -> list[int]:
         """P_0 .. P_n_max in one pass, reading P_0 = 1 and P_n =
-        max(0, value(n)) for n >= 1: one loop over n with the pairs
-        validated once, not once per n as ``value`` does."""
-        floor_sum(n_max, self.pairs)  # validates n_max and the pairs
+        max(0, value(n)) for n >= 1."""
+        if type(n_max) is not int or n_max < 0:
+            _check_int("n_max", n_max, 0)
         const, linear, pairs = self.const, self.linear, self.pairs
         out = [1]
         for n in range(1, n_max + 1):

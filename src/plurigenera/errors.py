@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the one integer
-field check that raises them."""
+"""Exception types shared across the package, and the integer field
+checks that raise them."""
 
 
 class PlurigeneraError(Exception):
@@ -40,3 +40,16 @@ def _check_int(name: str, value, minimum=None, maximum=None) -> int:
     if maximum is not None and value > maximum:
         raise InvalidInputError(f"{name} must be <= {maximum}, got {value}")
     return value
+
+
+def _check_tuple(name: str, values) -> tuple:
+    """``tuple(values)``, or ``InvalidInputError`` if it is not iterable."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be a sequence") from None
+
+
+def _check_ints(name: str, values, minimum=None) -> tuple[int, ...]:
+    """``values`` as a tuple of ints, each checked by ``_check_int``."""
+    return tuple(_check_int(name, v, minimum) for v in _check_tuple(name, values))

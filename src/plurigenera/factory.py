@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .errors import InvalidInputError, UnsupportedInputError, _check_int
+from .errors import InvalidInputError, UnsupportedInputError, _check_ints, _check_tuple
 from .model import FibrationNumericalType, FibreDatum, factorization
 
 # The generation check visits every element of the group, so larger
@@ -28,12 +28,12 @@ class AbelianGroupData:
     monodromies: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        factors = tuple(_check_int("invariant factor", d, 2) for d in self.invariant_factors)
+        factors = _check_ints("invariant factor", self.invariant_factors, 2)
         if not factors:
             raise InvalidInputError("need at least one invariant factor")
         monos = []
-        for g in self.monodromies:
-            g = tuple(_check_int("monodromy residue", x) for x in g)
+        for g in _check_tuple("monodromies", self.monodromies):
+            g = _check_ints("monodromy residue", g)
             if len(g) != len(factors):
                 raise InvalidInputError(
                     "each monodromy needs one residue per invariant factor"

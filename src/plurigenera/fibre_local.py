@@ -1,5 +1,5 @@
-"""Local invariants of a multiple fibre: torsion-order walks, jumping
-values, and the admissible canonical coefficients.
+"""Local invariants of a multiple fibre: the torsion lengths a wild
+fibre can have, and the admissible canonical coefficients.
 
 The section-ring dimension h^0(O_{nF'}) of thickenings of a wild fibre
 grows by one exactly at its jumping values.  The model implemented here
@@ -8,7 +8,9 @@ next jump sits at (current position) + (current order), and at each jump
 the order either stays or is multiplied by the characteristic p.  The
 growth choice is the only nondeterminism; order growth never happens off
 a jump.  This reproduces the known first jumping value nu + 1 and the
-second-jump dichotomy {2*nu + 1, (p+1)*nu + 1}.
+second-jump dichotomy {2*nu + 1, (p+1)*nu + 1}.  The torsion length is
+the number of jumps within m; ``achievable_torsion_lengths`` derives the
+set of lengths from the walk's states without listing the walks.
 """
 
 from __future__ import annotations
@@ -84,81 +86,6 @@ def admissible_coefficients(
     else:
         return CoefficientSet(frozenset(range(nu - 1, m, nu)), False)
     return CoefficientSet(frozenset(a for a in raw if a >= 0), True)
-
-
-def second_jump_candidates(nu: int, p: int) -> frozenset[int]:
-    """The two possible second jumping values."""
-    if nu < 1 or not is_prime(p):
-        raise InvalidInputError(f"need nu >= 1 and p prime, got nu={nu}, p={p}")
-    return frozenset({2 * nu + 1, (p + 1) * nu + 1})
-
-
-@dataclass(frozen=True, slots=True)
-class JumpProfile:
-    """Torsion orders o_1..o_m of O_{nF'}(F') together with the jumping
-    values <= m.  ``torsion_length`` is the number of those jumps, and
-    h^0(O_{nF'}) = 1 + #{jumps <= n}."""
-
-    p: int
-    nu: int
-    orders: tuple[int, ...]
-    jumps: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "orders", tuple(self.orders))
-        object.__setattr__(self, "jumps", tuple(sorted(self.jumps)))
-        if not self.orders or self.orders[0] != self.nu:
-            raise InvalidInputError("order sequence must start at nu")
-        jumps = set(self.jumps)
-        for n in range(1, len(self.orders)):
-            prev, cur = self.orders[n - 1], self.orders[n]
-            if cur not in (prev, self.p * prev):
-                raise InvalidInputError("order steps must be 1 or p")
-            if cur != prev and (n + 1) not in jumps:
-                raise InvalidInputError("order growth is only allowed at a jump")
-        if any(j < 2 or j > len(self.orders) for j in self.jumps):
-            raise InvalidInputError("jumping values lie in [2, m]")
-
-    @property
-    def torsion_length(self) -> int:
-        return len(self.jumps)
-
-    def h0(self, n: int) -> int:
-        return 1 + sum(1 for j in self.jumps if j <= n)
-
-    def to_dict(self) -> dict:
-        return {"orders": list(self.orders), "jumps": list(self.jumps)}
-
-
-def enumerate_jump_profiles(m: int, nu: int, p: int) -> list[JumpProfile]:
-    """All forced-walk profiles of length m for a wild fibre m = nu*p^e.
-
-    The walk branches once per jump (order stays or grows), so the output
-    has 2^(#jumps within m) profiles.
-    """
-    if not is_prime(p):
-        raise InvalidInputError(f"p must be prime, got {p}")
-    _power_exponent(m, nu, p)
-    profiles: list[JumpProfile] = []
-
-    def walk(pos: int, orders: list[int], jumps: list[int], next_jump: int, order: int):
-        if pos > m:
-            profiles.append(JumpProfile(p, nu, tuple(orders), tuple(jumps)))
-            return
-        if pos == next_jump:
-            for grown in (order, p * order):
-                walk(
-                    pos + 1,
-                    orders + [grown],
-                    jumps + [pos],
-                    pos + grown,
-                    grown,
-                )
-        else:
-            walk(pos + 1, orders + [order], jumps, next_jump, order)
-
-    walk(2, [nu], [], nu + 1, nu)
-    return profiles
 
 
 @lru_cache(maxsize=FIBRE_RULE_CACHE_SIZE)

@@ -16,7 +16,7 @@ On a genus-zero base the n-th plurigenus is exactly
 
 and everything here is integer / ``Fraction`` arithmetic; no floats.
 On a positive-genus base only lower bounds are determined by the
-numerical data, and results are flagged accordingly.
+numerical data, one per branch (``plurigenus_form``), flagged inexact.
 
 Constructors enforce structural well-formedness only (field types and
 ranges).  The model-level rules (torsion divisibility, tame coefficient
@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .congruence import QuasiLinearForm
-from .errors import InvalidInputError, UnsupportedInputError, _check_int
+from .errors import InvalidInputError, UnsupportedInputError, _check_int, _check_tuple
 
 # Bound of every cache keyed on caller input (the per-fibre rule cache,
 # factorizations, torsion lengths, wild fibre menus, large-degree rows,
@@ -188,7 +188,7 @@ class FibrationNumericalType:
             raise InvalidInputError("quasi_elliptic must be a boolean")
         if not isinstance(self.existence_unknown, bool):
             raise InvalidInputError("existence_unknown must be a boolean")
-        fibres = tuple(self.fibres)
+        fibres = _check_tuple("fibres", self.fibres)
         for f in fibres:
             if not isinstance(f, FibreDatum):
                 raise InvalidInputError(f"fibres must contain FibreDatum, got {f!r}")
@@ -370,34 +370,3 @@ def plurigenera_series(t: FibrationNumericalType, n_max: int) -> list[Plurigenus
     _check_int("n_max", n_max, 0, MAX_SERIES_N)
     values = plurigenus_form(t).series(n_max)
     return [PlurigenusValue(n, v, n == 0 or t.g == 0) for n, v in enumerate(values)]
-
-
-def generic_lower_bound(t: FibrationNumericalType, n: int) -> int:
-    """Guaranteed lower bound for P_n on the branches where one is known:
-
-    - g >= 1, chi + t >= 1   ->  g + n - 1
-    - g >= 2, chi = t = 0    ->  (2n - 1)(g - 1)
-    - g = 1,  chi = t = 0    ->  sum floor(n*a_i/m_i)
-    - g = 0,  chi + t = 2, no wild fibres  ->  1 + sum floor(n*(m_i-1)/m_i)
-    - g = 0,  chi + t >= 3   ->  n + 1
-
-    The branch inequalities hold for n >= 1; n = 0 returns the exact 1.
-    Rejects g = 0 with chi + t <= 1 (computed exactly by ``plurigenus``)
-    and g = 0, chi + t = 2 with wild fibres (no single branch formula).
-    """
-    _check_int("n", n, 0)
-    if n == 0:
-        return 1
-    ct = t.chi + t.torsion_length
-    if t.g >= 1 or (ct == 2 and t.torsion_length == 0):
-        return plurigenus_form(t).value(n)
-    if ct >= 3:
-        return n + 1
-    if ct == 2:
-        raise UnsupportedInputError(
-            "no generic branch bound for g=0, chi+t=2 with wild fibres; "
-            "use the exact plurigenus"
-        )
-    raise UnsupportedInputError(
-        "g=0 with chi+t <= 1 is handled exactly by plurigenus"
-    )

@@ -88,6 +88,7 @@ from .errors import (
     InvalidInputError,
     UnsupportedInputError,
     _check_int,
+    _check_tuple,
 )
 from .fibre_local import (
     achievable_torsion_lengths,
@@ -274,12 +275,11 @@ class EnumerationBounds:
         _check_int("max_mult", self.max_mult, 2)
         _check_int("max_fibres", self.max_fibres, 1)
         _check_int("max_chi_plus_t", self.max_chi_plus_t, 0)
-        if not isinstance(self.characteristics, (tuple, list)):
-            raise InvalidInputError("characteristics must be a list of integers")
         for flag in ("include_wild", "include_quasi_elliptic"):
             if not isinstance(getattr(self, flag), bool):
                 raise InvalidInputError(f"{flag} must be a boolean")
-        ps = sorted({validate_characteristic(p) for p in self.characteristics})
+        given = _check_tuple("characteristics", self.characteristics)
+        ps = sorted({validate_characteristic(p) for p in given})
         object.__setattr__(self, "characteristics", tuple(ps))
 
     def to_dict(self) -> dict:

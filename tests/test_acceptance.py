@@ -86,6 +86,24 @@ def test_criterion_2_golden_2510():
     report(2, f"(2,5,10) series P_4..P_13 = {series[4:]} in {elapsed:.4f}s")
 
 
+def condition_u_bitset(ms, nus, i):
+    """U_i by reachable sums, sharing no code with the gcd kernel: the sums
+    sum n_j*(M/m_j) mod M = lcm(m) reachable so far are one M-bit integer,
+    and each residue choice of n_j (n_i = 1 mod nu_i) ORs in one rotation
+    of it.  U_i holds when the sum 0 is reachable."""
+    big_m = lcm(*ms)
+    full = (1 << big_m) - 1
+    reach = 1
+    for j, (m, nu) in enumerate(zip(ms, nus)):
+        weight = big_m // m
+        step = 0
+        for n in range(1, m + 1, nu) if j == i - 1 else range(m):
+            shift = n * weight % big_m
+            step |= (reach << shift | reach >> (big_m - shift)) & full
+        reach = step
+    return bool(reach & 1)
+
+
 def test_criterion_3_condition_u():
     fixtures = [
         (((2, 2, 2, 3), (2, 2, 2, 3), 4), False),
@@ -96,11 +114,14 @@ def test_criterion_3_condition_u():
         inst = ConditionUInstance(ms, nus, i)
         assert check_condition_U(inst) is expected
         assert check_condition_U_bruteforce(inst) is expected
+        assert condition_u_bitset(ms, nus, i) is expected
 
+    # every instance with r <= 4 and m <= 12 against the bitset oracle;
+    # the r <= 2 ones also against the residue brute force
     pairs = [
         (m, nu) for m in range(2, 13) for nu in range(1, m + 1) if m % nu == 0
     ]
-    exhaustive = 0
+    exhaustive = brute = 0
     for r in range(1, 5):
         for combo in combinations_with_replacement(pairs, r):
             ms = tuple(m for m, _ in combo)
@@ -111,8 +132,13 @@ def test_criterion_3_condition_u():
                     continue
                 seen.add(pv)
                 inst = ConditionUInstance(ms, nus, idx + 1)
-                assert check_condition_U(inst) == check_condition_U_bruteforce(inst)
+                expected = condition_u_bitset(ms, nus, idx + 1)
+                assert check_condition_U(inst) == expected
                 exhaustive += 1
+                if r <= 2:
+                    assert check_condition_U_bruteforce(inst) == expected
+                    brute += 1
+    assert exhaustive == 264_180
 
     rng = random.Random(0)
     randomized = 0
@@ -129,8 +155,9 @@ def test_criterion_3_condition_u():
         inst = ConditionUInstance(tuple(ms), tuple(nus), rng.randint(1, r))
         assert check_condition_U(inst) == check_condition_U_bruteforce(inst)
         randomized += 1
-    report(3, f"U fixtures hold; gcd == oracle on {exhaustive} exhaustive and "
-              f"{randomized} random instances, zero disagreements")
+    report(3, f"U fixtures hold; gcd == bitset oracle on {exhaustive} exhaustive "
+              f"instances ({brute} of them also == brute force) and gcd == brute "
+              f"force on {randomized} random instances, zero disagreements")
 
 
 def test_criterion_4_main_theorem_sweep(default_sweep):

@@ -22,7 +22,6 @@ from plurigenera.cases import (
     exact_form,
     form_dominates,
     replay_type,
-    section4_label,
 )
 from plurigenera.congruence import QuasiLinearForm
 from plurigenera.verifier import (
@@ -48,16 +47,18 @@ class TestLabels:
         mk = lambda chi, fibres: FibrationNumericalType(
             p=2, g=0, chi=chi, quasi_elliptic=False, fibres=fibres
         )
-        assert section4_label(mk(1, (w1,))) == "case1"
-        assert section4_label(mk(0, (w2,))) == "case2"
-        assert section4_label(mk(0, (w1, FibreDatum.tame(2)))) == "case3"
-        assert section4_label(tame((2, 6, 6))) == "case4"
-        assert section4_label(tame((2, 3), chi=1)) == "case3-tame"
-        assert section4_label(tame((2,), chi=2)) == "easy-chi-2"
-        assert section4_label(tame((), chi=3)) == "easy-large-degree"
-        assert section4_label(tame((), g=1, chi=1)) == "easy-positive-genus"
-        assert section4_label(tame((), g=2)) == "easy-genus-ge-2"
-        assert section4_label(tame((2, 2), g=1)) == "easy-genus-1"
+        labels = {
+            mk(1, (w1,)): "case1",
+            mk(0, (w2,)): "case2",
+            mk(0, (w1, FibreDatum.tame(2))): "case3",
+            tame((2, 6, 6)): "case4",
+            tame((2, 3), chi=1): "case3-tame",
+            tame((2,), chi=2): "easy-chi-2",
+            tame((), chi=3): "easy-large-degree",
+        }
+        for ty, label in labels.items():
+            assert replay_type(ty).label == label
+            assert cell_row(ty.chi, ty.torsion_length).label == label
 
     @pytest.mark.parametrize("ms, chi, wild", [
         ((2, 3), -1, 0), ((2, 3, 7), -3, 0), ((), -5, 0), ((), -1, 2),
@@ -69,9 +70,8 @@ class TestLabels:
             p=2, g=0, chi=chi, quasi_elliptic=False,
             fibres=(w2,) * wild + tuple(FibreDatum.tame(m) for m in ms),
         )
-        for caller in (section4_label, replay_type):
-            with pytest.raises(UnsupportedInputError, match="no cell"):
-                caller(ty)
+        with pytest.raises(UnsupportedInputError, match="no cell"):
+            replay_type(ty)
 
     def test_sharp_families(self):
         assert case4_sharp_family((2, 5, 10)) == "2-b-2b"

@@ -1,4 +1,4 @@
-"""Condition U deciders, the residue oracle, and floor-sum utilities."""
+"""Condition U deciders, the residue oracle, and quasi-linear forms."""
 
 import random
 from fractions import Fraction
@@ -19,8 +19,6 @@ from plurigenera import (
     check_all_U,
     check_condition_U,
     check_condition_U_bruteforce,
-    divisibility_closure_r3,
-    floor_sum,
 )
 
 
@@ -177,22 +175,32 @@ class TestOracleAgreement:
             check_condition_U_bruteforce(inst((m, m), (1, 1), 1))
 
 
+def divisibility_closure(m1, m2, m3):
+    """Each multiplicity divides the lcm of the other two (tame triples)."""
+    return lcm(m2, m3) % m1 == 0 and lcm(m1, m3) % m2 == 0 and lcm(m1, m2) % m3 == 0
+
+
 class TestClosure:
     def test_366(self):
-        assert divisibility_closure_r3(3, 6, 6) is True
+        assert divisibility_closure(3, 6, 6) is True
 
     def test_223(self):
-        assert divisibility_closure_r3(2, 2, 3) is False
+        assert divisibility_closure(2, 2, 3) is False
 
     def test_444(self):
-        assert divisibility_closure_r3(4, 4, 4) is True
+        assert divisibility_closure(4, 4, 4) is True
 
     def test_matches_condition_u_on_tame_triples(self):
         from itertools import combinations_with_replacement
 
         for ms in combinations_with_replacement(range(2, 31), 3):
             t = FibrationNumericalType.tame_type(ms)
-            assert divisibility_closure_r3(*ms) == check_all_U(t)
+            assert divisibility_closure(*ms) == check_all_U(t)
+
+
+def floor_sum(n, pairs):
+    """sum floor(n*a/m), read from the form with no constant or linear part."""
+    return QuasiLinearForm(0, 0, tuple(pairs)).value(n)
 
 
 class TestFloorSum:
@@ -304,3 +312,24 @@ class TestQuasiLinearForm:
             QuasiLinearForm(1, 0, ((-1, 2),)).series(5)
         with pytest.raises(InvalidInputError):
             QuasiLinearForm(1, 0, ((1, 0),)).series(0)
+
+    @pytest.mark.parametrize(
+        "pairs", [((-1, 2),), ((1, 0),), ((1, -3),), ((1.0, 2),), ((1, True),), (("a", 2),)]
+    )
+    def test_malformed_pairs_rejected_at_construction(self, pairs):
+        # validated once in the constructor, so value and series never see them
+        with pytest.raises(InvalidInputError):
+            QuasiLinearForm(1, 0, pairs)
+
+    def test_pairs_normalized_to_int_tuples(self):
+        form = QuasiLinearForm(1, 0, [[1, 2], (5, 6)])
+        assert form.pairs == ((1, 2), (5, 6)) and form.value(6) == 9
+
+    def test_value_and_series_check_n(self):
+        # no float or bool reaches the integer arithmetic
+        form = QuasiLinearForm(1, 0, ((1, 2),))
+        for n in (-1, 1.5, "3", True):
+            with pytest.raises(InvalidInputError):
+                form.value(n)
+            with pytest.raises(InvalidInputError):
+                form.series(n)

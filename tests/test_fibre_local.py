@@ -1,4 +1,8 @@
-"""Jump profiles, torsion-order walks, and admissible coefficients."""
+"""Torsion-order walks, torsion lengths, and admissible coefficients.
+
+``profile_oracle`` lists the forced walks one by one; the package derives
+only their torsion lengths (``achievable_torsion_lengths``).
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +12,6 @@ from plurigenera import (
     InvalidInputError,
     achievable_torsion_lengths,
     admissible_coefficients,
-    enumerate_jump_profiles,
-    second_jump_candidates,
 )
 
 
@@ -50,21 +52,10 @@ class TestCoefficients:
         assert m - 1 in cs.values
 
 
-class TestSecondJump:
-    def test_nu2_p2(self):
-        assert second_jump_candidates(2, 2) == frozenset({5, 7})
-
-    def test_nu1_p2(self):
-        # 2*1 + 1 = 3 and (2+1)*1 + 1 = 4; both occur in the profile walk
-        assert second_jump_candidates(1, 2) == frozenset({3, 4})
-
-    def test_nu2_p3(self):
-        assert second_jump_candidates(2, 3) == frozenset({5, 9})
-
-
 def profile_oracle(m, nu, p):
     """Independent walk: next jump = position + current order; the order
-    may stay or pick up a factor p at each jump."""
+    may stay or pick up a factor p at each jump.  Returns the sorted
+    (orders, jumps) pairs, orders o_1..o_m and the jumping values <= m."""
     done = []
 
     def go(orders, jumps, nxt, order):
@@ -82,58 +73,67 @@ def profile_oracle(m, nu, p):
     return sorted(done)
 
 
+def second_jumps(m, nu, p):
+    return {jumps[1] for _, jumps in profile_oracle(m, nu, p) if len(jumps) >= 2}
+
+
+def torsion_lengths(m, nu, p):
+    return {len(jumps) for _, jumps in profile_oracle(m, nu, p)}
+
+
+class TestSecondJump:
+    # on m = nu*p^2 the walk reaches both second jumps 2nu+1 and (p+1)nu+1
+    def test_nu2_p2(self):
+        assert second_jumps(8, 2, 2) == {5, 7}
+
+    def test_nu1_p2(self):
+        # 2*1 + 1 = 3 and (2+1)*1 + 1 = 4; both occur in the profile walk
+        assert second_jumps(4, 1, 2) == {3, 4}
+
+    def test_nu2_p3(self):
+        assert second_jumps(18, 2, 3) == {5, 9}
+
+
 class TestProfiles:
     def test_minimal_wild(self):
-        profs = enumerate_jump_profiles(2, 1, 2)
-        assert any(p.jumps == (2,) and p.torsion_length == 1 for p in profs)
-        assert all(p.jumps[0] == 2 for p in profs)
+        profs = profile_oracle(2, 1, 2)
+        assert ((1, 1), (2,)) in profs and ((1, 2), (2,)) in profs
+        assert all(jumps[0] == 2 for _, jumps in profs)
 
     def test_first_jump_is_nu_plus_one(self):
-        for prof in enumerate_jump_profiles(4, 2, 2):
-            assert prof.jumps[0] == 3
+        for _, jumps in profile_oracle(4, 2, 2):
+            assert jumps[0] == 3
 
     def test_second_jump_dichotomy(self):
-        seconds = {
-            p.jumps[1]
-            for p in enumerate_jump_profiles(4, 1, 2)
-            if len(p.jumps) >= 2
-        }
-        assert seconds <= {3, 4}
-        assert seconds == {3, 4}
+        assert second_jumps(4, 1, 2) == {3, 4}
 
     def test_matches_oracle(self):
-        for m, nu, p in ((2, 1, 2), (4, 1, 2), (4, 2, 2), (8, 2, 2), (9, 1, 3),
-                        (6, 2, 3), (12, 3, 2)):
-            got = sorted((p_.orders, p_.jumps) for p_ in enumerate_jump_profiles(m, nu, p))
-            assert got == profile_oracle(m, nu, p)
+        # the torsion-length kernel against the walks listed one by one
+        for nu, e, p in ((1, 1, 2), (1, 2, 2), (2, 1, 2), (2, 2, 2), (1, 2, 3),
+                         (2, 1, 3), (3, 2, 2)):
+            m = nu * p**e
+            assert achievable_torsion_lengths(nu, e, p) == torsion_lengths(m, nu, p)
 
     def test_invariants(self):
         for m, nu, p in ((8, 1, 2), (9, 1, 3), (8, 2, 2), (12, 3, 2)):
-            for prof in enumerate_jump_profiles(m, nu, p):
-                jumps = set(prof.jumps)
-                assert prof.orders[0] == nu
+            for orders, jumps in profile_oracle(m, nu, p):
+                assert orders[0] == nu and len(orders) == m
                 for n in range(1, m):
-                    ratio_step = prof.orders[n] // prof.orders[n - 1]
-                    assert prof.orders[n] % prof.orders[n - 1] == 0
+                    ratio_step = orders[n] // orders[n - 1]
+                    assert orders[n] % orders[n - 1] == 0
                     assert ratio_step in (1, p)
                     if ratio_step == p:
                         assert (n + 1) in jumps
-                # h^0 is 1 + #jumps so far, nondecreasing, ending at t+1
-                assert prof.h0(m) == prof.torsion_length + 1
-                values = [prof.h0(n) for n in range(1, m + 1)]
-                assert values == sorted(values)
-                if len(prof.jumps) >= 2:
-                    assert prof.jumps[1] in second_jump_candidates(nu, p)
+                assert all(2 <= j <= m for j in jumps)
+                # h^0 = 1 + #jumps so far, nondecreasing, ending at t+1
+                values = [1 + sum(1 for j in jumps if j <= n) for n in range(1, m + 1)]
+                assert values == sorted(values) and values[-1] == len(jumps) + 1
+                if len(jumps) >= 2:
+                    assert jumps[1] in {2 * nu + 1, (p + 1) * nu + 1}
 
     def test_second_jump_cross_validation(self):
         for nu, p in ((2, 3), (1, 2), (3, 2), (2, 2)):
-            m = nu * p**2
-            seconds = {
-                prof.jumps[1]
-                for prof in enumerate_jump_profiles(m, nu, p)
-                if len(prof.jumps) >= 2
-            }
-            assert seconds <= second_jump_candidates(nu, p)
+            assert second_jumps(nu * p**2, nu, p) <= {2 * nu + 1, (p + 1) * nu + 1}
 
 
 class TestAchievableTorsion:
@@ -153,10 +153,7 @@ class TestAchievableTorsion:
         for nu, e, p in ((1, 1, 2), (2, 1, 2), (1, 2, 2), (2, 1, 3), (1, 1, 5),
                         (3, 1, 3), (2, 2, 2)):
             m = nu * p**e
-            from_profiles = {
-                prof.torsion_length for prof in enumerate_jump_profiles(m, nu, p)
-            }
-            assert achievable_torsion_lengths(nu, e, p) == from_profiles
+            assert achievable_torsion_lengths(nu, e, p) == torsion_lengths(m, nu, p)
 
     def test_minimum_is_exponent(self):
         for p in (2, 3, 5):

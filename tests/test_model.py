@@ -1,4 +1,4 @@
-"""Numerical model: degree, slope, exact plurigenera, generic bounds."""
+"""Numerical model: degree, slope, exact plurigenera, branch bounds."""
 
 import math
 import pickle
@@ -14,9 +14,9 @@ from plurigenera import (
     FibrationNumericalType,
     FibreDatum,
     InvalidInputError,
+    PlurigenusValue,
     UnsupportedInputError,
     delta_degree,
-    generic_lower_bound,
     geometric_genus,
     is_admissible,
     plurigenera_series,
@@ -24,6 +24,7 @@ from plurigenera import (
     slope,
     verify_main_theorem,
 )
+from plurigenera.cases import cell_row
 from plurigenera.model import (
     FIBRE_RULE_CACHE_SIZE,
     MAX_SERIES_N,
@@ -205,32 +206,33 @@ class TestSeriesKernel:
 
 
 class TestGenericLowerBound:
+    """The branch lower bounds of P_n for n >= 1: ``plurigenus`` reads each
+    one from ``plurigenus_form``; on a g = 0 cell with chi + t >= 3 the
+    easy-large-degree certificate 1 + n*d is never below n + 1."""
+
     def test_positive_genus_with_chi(self):
-        assert generic_lower_bound(tame((), g=1, chi=1), 12) == 12
+        # g + n - 1
+        assert plurigenus(tame((), g=1, chi=1), 12) == PlurigenusValue(12, 12, False)
 
     def test_genus_three_unramified(self):
-        assert generic_lower_bound(tame((), g=3), 1) == 2
+        # (2n - 1)(g - 1)
+        assert plurigenus(tame((), g=3), 1) == PlurigenusValue(1, 2, False)
 
     def test_genus_one_floor_branch(self):
-        assert generic_lower_bound(tame((2, 2), g=1), 12) == 12
+        # sum floor(n*a_i/m_i)
+        assert plurigenus(tame((2, 2), g=1), 12) == PlurigenusValue(12, 12, False)
 
     def test_chi_two_branch(self):
         t = tame((2,), chi=2)
-        assert generic_lower_bound(t, 5) == 1 + 2  # 1 + floor(5/2)
+        assert plurigenus(t, 5) == PlurigenusValue(5, 1 + 2, True)  # 1 + floor(5/2)
 
     def test_large_degree_branch(self):
-        assert generic_lower_bound(tame((), chi=3), 7) == 8
-
-    def test_rejects_exact_regime(self):
-        with pytest.raises(UnsupportedInputError):
-            generic_lower_bound(T266, 5)
-
-    def test_rejects_wild_chi_plus_t_two(self):
-        with pytest.raises(UnsupportedInputError):
-            generic_lower_bound(WILD_421, 5)
+        t = tame((), chi=3)
+        (certificate,) = cell_row(3, 0).certificates
+        assert certificate.bound.value(7) == plurigenus(t, 7).value == 8
 
     def test_n_zero_is_one(self):
-        assert generic_lower_bound(tame((), g=3), 0) == 1
+        assert plurigenus(tame((), g=3), 0) == PlurigenusValue(0, 1, True)
 
     def test_never_exceeds_plurigenus(self):
         samples = [
@@ -239,10 +241,16 @@ class TestGenericLowerBound:
             tame((), g=2),
             tame((2,), chi=2),
             tame((2, 2), chi=3),
+            WILD_421,
         ]
         for t in samples:
-            for n in range(0, 20):
-                assert plurigenus(t, n).value >= generic_lower_bound(t, n)
+            form = plurigenus_form(t)
+            for n in range(1, 20):
+                assert form.value(n) <= plurigenus(t, n).value
+        for t in (tame((2, 2), chi=3), tame((), chi=5)):
+            (certificate,) = cell_row(t.chi, t.torsion_length).certificates
+            for n in range(1, 20):
+                assert n + 1 <= certificate.bound.value(n) <= plurigenus(t, n).value
 
 
 small_mults = st.lists(st.integers(2, 9), min_size=0, max_size=4)

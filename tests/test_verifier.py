@@ -249,7 +249,7 @@ class TestCompactLayout:
             for cls in vars(importlib.import_module(f"plurigenera.{module.name}")).values()
             if dataclasses.is_dataclass(cls) and cls.__module__.startswith("plurigenera.")
         ]
-        assert FibrationNumericalType in classes and len(set(classes)) >= 17
+        assert FibrationNumericalType in classes and len(set(classes)) >= 16
         for cls in classes:
             assert "__slots__" in vars(cls), cls.__name__
             assert cls.__dataclass_params__.frozen, cls.__name__
@@ -1121,6 +1121,34 @@ TINY = EnumerationBounds(4, 2, 1, (0, 2))
     ],
 )
 def test_malformed_library_input_raises_invalid_input(call):
+    with pytest.raises(InvalidInputError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ConditionUInstance(2, (1,), 1),
+        lambda: plurigenera.AbelianGroupData((2,), (1, 1)),
+        lambda: plurigenera.QuasiLinearForm(1, 0, ((1,),)),
+        lambda: plurigenera.SurfaceInvariants(2, 0, minimal="no"),
+        # the same shapes one level up or down
+        lambda: ConditionUInstance((2,), 1, 1),
+        lambda: plurigenera.AbelianGroupData(2, ((1,), (1,))),
+        lambda: plurigenera.AbelianGroupData((2,), 1),
+        lambda: plurigenera.QuasiLinearForm(1, 0, 5),
+        lambda: plurigenera.QuasiLinearForm(1, 0, ((1, 2, 3),)),
+        lambda: plurigenera.SurfaceInvariants(2, 0, minimal=1),
+        lambda: FibrationNumericalType(0, 0, 0, False, 5),
+    ],
+    ids=[
+        "u-instance-m-int", "group-monodromy-int", "form-pair-short",
+        "invariants-minimal-str", "u-instance-nu-int", "group-factors-int",
+        "group-monodromies-int", "form-pairs-int", "form-pair-long",
+        "invariants-minimal-int", "type-fibres-int",
+    ],
+)
+def test_malformed_container_shape_raises_invalid_input(call):
     with pytest.raises(InvalidInputError):
         call()
 
