@@ -4,13 +4,21 @@ Condition U_i on sequences (m_1..m_r | nu_1..nu_r) asks for integers
 n_1..n_r with n_i = 1 mod nu_i and sum n_j/m_j integral.  Two deciders
 are provided: a gcd-based procedure (fast, derived) and an exhaustive
 residue search (the oracle the fast one is validated against).
+``check_all_U`` validates a fibration's data before it decides every U_i;
+``_all_u`` decides them on data its caller has validated.
+
+``QuasiLinearForm`` is const + linear*n + sum floor(n*a/m), validated
+when it is built (``_trusted`` builds one from fields its caller has
+validated).  ``value(n)`` evaluates one n; ``series(n_max)`` sums a step
+list of +1 and -1 steps once, and ``eventually_at_least`` decides a
+tail exactly from the form's period.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import gcd, lcm
 
 from .errors import (
@@ -19,6 +27,7 @@ from .errors import (
     UnsupportedInputError,
     _check_int,
     _check_ints,
+    _int_text,
 )
 
 DEFAULT_ORACLE_BOUND = 10**6
@@ -39,15 +48,19 @@ class ConditionUInstance:
             raise InvalidInputError("m and nu must be nonempty lists of equal length")
         _check_u_data(self.m, self.nu)
         if not 1 <= _check_int("i", self.i) <= len(self.m):
-            raise InvalidInputError(f"index i out of range: {self.i}")
+            raise InvalidInputError(f"index i out of range: {_int_text(self.i)}")
 
 
 def _check_u_data(m, nu) -> None:
     for m_j, nu_j in zip(m, nu):
         if m_j < 2:
-            raise InvalidInputError(f"multiplicities must be >= 2, got {m_j}")
+            raise InvalidInputError(
+                f"multiplicities must be >= 2, got {_int_text(m_j)}"
+            )
         if nu_j < 1 or m_j % nu_j != 0:
-            raise InvalidInputError(f"need nu | m, got nu={nu_j}, m={m_j}")
+            raise InvalidInputError(
+                f"need nu | m, got nu={_int_text(nu_j)}, m={_int_text(m_j)}"
+            )
 
 
 def _u_holds(big_m: int, weight: int, nu_i: int, others: int) -> bool:
@@ -156,6 +169,17 @@ class QuasiLinearForm:
             pairs = tuple((_check_int("a", a, 0), _check_int("m", m, 1)) for a, m in given)
         object.__setattr__(self, "pairs", pairs)
 
+    @classmethod
+    def _trusted(cls, const: int, linear: int, pairs: tuple[tuple[int, int], ...]):
+        """The form with these fields, built without the checks of
+        ``__post_init__``: for callers whose fields are ints already
+        validated (every pair a tuple with a >= 0 and m >= 1)."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "const", const)
+        object.__setattr__(form, "linear", linear)
+        object.__setattr__(form, "pairs", pairs)
+        return form
+
     def value(self, n: int) -> int:
         if type(n) is not int or n < 0:
             _check_int("n", n, 0)
@@ -165,17 +189,43 @@ class QuasiLinearForm:
         return v
 
     def series(self, n_max: int) -> list[int]:
-        """P_0 .. P_n_max in one pass, reading P_0 = 1 and P_n =
-        max(0, value(n)) for n >= 1."""
+        """P_0 .. P_n_max, reading P_0 = 1 and P_n = max(0, value(n)) for
+        n >= 1, as running sums of a step list.
+
+        With q, b = divmod(a, m), floor(n*a/m) = q*n + floor(n*b/m), and
+        floor(n*b/m) rises by 1 at n = ceil(k*m/b) for k >= 1.  When
+        2b > m it is n - ceil(n*c/m) with c = m - b, whose ceiling rises
+        at n = k*m//c + 1 for k >= 0.  So value(n) - value(n-1) is a
+        constant plus +1 and -1 steps, at most n_max/2 + 1 of them per
+        pair (n_max/m for a tame pair, c = 1), summed once.  ``value``
+        is the per-n oracle the tests hold this against.
+        """
         if type(n_max) is not int or n_max < 0:
             _check_int("n_max", n_max, 0)
-        const, linear, pairs = self.const, self.linear, self.pairs
-        out = [1]
-        for n in range(1, n_max + 1):
-            v = const + linear * n
-            for a, m in pairs:
-                v += n * a // m
-            out.append(v if v > 0 else 0)
+        pairs = self.pairs
+        rate = self.linear
+        for a, m in pairs:
+            q, b = divmod(a, m)
+            rate += q + (2 * b > m)
+        steps = [rate] * (n_max + 1)
+        steps[0] = self.const
+        for a, m in pairs:
+            b = a % m
+            if 2 * b > m:
+                c = m - b
+                if c == 1:
+                    for n in range(1, n_max + 1, m):
+                        steps[n] -= 1
+                else:
+                    for k in range((n_max * c - 1) // m + 1):
+                        steps[k * m // c + 1] -= 1
+            elif b:
+                for k in range(1, n_max * b // m + 1):
+                    steps[-(-k * m // b)] += 1
+        out = list(accumulate(steps))
+        out[0] = 1
+        if min(out) < 0:
+            out = [v if v > 0 else 0 for v in out]
         return out
 
     def growth(self) -> Fraction:

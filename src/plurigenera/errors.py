@@ -30,15 +30,25 @@ class OracleBoundExceededError(PlurigeneraError):
     """A brute-force oracle refused to run above its configured bound."""
 
 
+def _int_text(value: int) -> str:
+    """``value`` in decimal, or its bit length past the digit limit of
+    ``str`` on integers (4300 digits by default), where formatting it
+    would raise ``ValueError``."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"an integer of {value.bit_length()} bits"
+
+
 def _check_int(name: str, value, minimum=None, maximum=None) -> int:
     """``value`` if it is an int (not a bool) in [minimum, maximum], else
     ``InvalidInputError``."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
-        raise InvalidInputError(f"{name} must be >= {minimum}, got {value}")
+        raise InvalidInputError(f"{name} must be >= {minimum}, got {_int_text(value)}")
     if maximum is not None and value > maximum:
-        raise InvalidInputError(f"{name} must be <= {maximum}, got {value}")
+        raise InvalidInputError(f"{name} must be <= {maximum}, got {_int_text(value)}")
     return value
 
 

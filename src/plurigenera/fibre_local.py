@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvalidInputError, UnsupportedInputError
+from .errors import InvalidInputError, UnsupportedInputError, _int_text
 from .model import FIBRE_RULE_CACHE_SIZE, is_prime
 
 # The largest p**e of a wild fibre whose torsion lengths are derived: the
@@ -46,14 +46,17 @@ class CoefficientSet:
 def _power_exponent(m: int, nu: int, p: int) -> int:
     """The e >= 1 with m = nu * p**e, or raise."""
     if m % nu != 0:
-        raise InvalidInputError(f"torsion order must divide multiplicity: {nu} | {m}")
+        raise InvalidInputError(
+            f"torsion order must divide multiplicity: {_int_text(nu)} | {_int_text(m)}"
+        )
     q, e = m // nu, 0
     while q % p == 0:
         q //= p
         e += 1
     if q != 1 or e < 1:
         raise InvalidInputError(
-            f"inconsistent wild fibre: m={m} is not nu*p^e for nu={nu}, p={p}"
+            f"inconsistent wild fibre: m={_int_text(m)} is not nu*p^e for "
+            f"nu={_int_text(nu)}, p={p}"
         )
     return e
 
@@ -69,11 +72,14 @@ def admissible_coefficients(
     nu | a+1, flagged as not sharp.  Negative values are dropped.
     """
     if m < 2 or nu < 1 or t < 0:
-        raise InvalidInputError(f"bad fibre data m={m}, nu={nu}, t={t}")
+        raise InvalidInputError(
+            f"bad fibre data m={_int_text(m)}, nu={_int_text(nu)}, t={_int_text(t)}"
+        )
     if t == 0:
         if nu != m:
             raise InvalidInputError(
-                f"tame fibres carry torsion order nu = m, got nu={nu}, m={m}"
+                f"tame fibres carry torsion order nu = m, "
+                f"got nu={_int_text(nu)}, m={_int_text(m)}"
             )
         return CoefficientSet(frozenset({m - 1}), True)
     if p == 0 or not is_prime(p):
@@ -97,7 +103,9 @@ def achievable_torsion_lengths(nu: int, e: int, p: int) -> frozenset[int]:
     ``UnsupportedInputError`` past p**e = ``MAX_WILD_POWER``.
     """
     if not is_prime(p) or nu < 1 or e < 0:
-        raise InvalidInputError(f"bad wild data nu={nu}, e={e}, p={p}")
+        raise InvalidInputError(
+            f"bad wild data nu={_int_text(nu)}, e={_int_text(e)}, p={_int_text(p)}"
+        )
     if e > MAX_WILD_POWER.bit_length() or p**e > MAX_WILD_POWER:
         raise UnsupportedInputError(
             f"wild fibre with p^e = {p}^{e} exceeds MAX_WILD_POWER = {MAX_WILD_POWER}"

@@ -33,7 +33,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .congruence import QuasiLinearForm
-from .errors import InvalidInputError, UnsupportedInputError, _check_int, _check_tuple
+from .errors import (
+    InvalidInputError,
+    UnsupportedInputError,
+    _check_int,
+    _check_tuple,
+    _int_text,
+)
 
 # Bound of every cache keyed on caller input (the per-fibre rule cache,
 # factorizations, torsion lengths, wild fibre menus, large-degree rows,
@@ -78,10 +84,13 @@ def validate_characteristic(p: int) -> int:
         raise InvalidInputError(f"characteristic must be an integer, got {p!r}")
     if p > MAX_CHARACTERISTIC:
         raise UnsupportedInputError(
-            f"characteristic {p} exceeds MAX_CHARACTERISTIC = {MAX_CHARACTERISTIC}"
+            f"characteristic {_int_text(p)} exceeds "
+            f"MAX_CHARACTERISTIC = {MAX_CHARACTERISTIC}"
         )
     if p != 0 and not is_prime(p):
-        raise InvalidInputError(f"characteristic must be 0 or prime, got {p}")
+        raise InvalidInputError(
+            f"characteristic must be 0 or prime, got {_int_text(p)}"
+        )
     return p
 
 
@@ -104,7 +113,9 @@ class FibreDatum:
         _check_int("m", self.m, 2)
         _check_int("a", self.a, 0)
         if self.a >= self.m:
-            raise InvalidInputError(f"need 0 <= a < m, got a={self.a}, m={self.m}")
+            raise InvalidInputError(
+                f"need 0 <= a < m, got a={_int_text(self.a)}, m={_int_text(self.m)}"
+            )
         _check_int("nu", self.nu, 1)
         _check_int("e", self.e, 0)
         _check_int("t", self.t, 0)
@@ -336,9 +347,12 @@ def _plurigenus_terms(t: FibrationNumericalType):
 
 def plurigenus_form(t: FibrationNumericalType) -> QuasiLinearForm:
     """The form F with P_n = max(0, F(n)) for g = 0, and P_n >= F(n) for
-    g >= 1 (n >= 1)."""
+    g >= 1 (n >= 1).  Its fields come from the validated fields of ``t``
+    and its fibres (ints, 0 <= a < m), so it is built without the
+    form's own re-validation."""
     const, linear, fibres = _plurigenus_terms(t)
-    return QuasiLinearForm(const, linear, tuple((f.a, f.m) for f in fibres))
+    pairs = tuple((f.a, f.m) for f in fibres)
+    return QuasiLinearForm._trusted(const, linear, pairs)
 
 
 def exact_form(t: FibrationNumericalType) -> QuasiLinearForm:

@@ -291,19 +291,49 @@ class TestQuasiLinearForm:
         st.integers(-6, 6),
         st.integers(-3, 2),
         st.lists(
-            st.tuples(st.integers(0, 11), st.integers(1, 12)).filter(
-                lambda am: am[0] < am[1]
+            st.integers(1, 200).flatmap(
+                lambda m: st.tuples(st.integers(0, 3 * m - 1), st.just(m))
             ),
             max_size=4,
         ),
-        st.integers(0, 60),
+        st.integers(0, 300),
     )
+    # each branch of the step list: q, b = divmod(a, m), and c = m - b
+    # where 2b > m
     @example(1, -2, [], 0)  # P_0 alone
+    @example(0, 0, [(7, 3), (11, 4)], 40)  # a >= m, both sides
+    @example(-1, 1, [(6, 3), (0, 5)], 30)  # b = 0
+    @example(1, -1, [(3, 6), (1, 2), (5, 2)], 30)  # 2b = m
+    @example(1, 0, [(1, 5), (1, 9)], 45)  # rising side, b = 1
+    @example(1, 0, [(3, 8), (5, 11)], 40)  # rising side, b > 1
+    @example(1, -1, [(4, 5), (12, 13)], 40)  # falling side, c = 1
+    @example(1, -1, [(5, 7), (8, 11)], 43)  # falling side, c > 1
+    @example(2, -1, [(1, 3), (2, 3)], 0)  # n_max = 0
+    @example(-2, 1, [(1, 3), (2, 3)], 1)  # n_max = 1
     @example(-3, 0, [(0, 5)], 4)  # every value clamped at zero
+    @example(-6, -3, [(2, 7), (6, 7)], 60)  # every value clamped at zero
+    @example(1, 0, [(10**9 + 6, 10**9 + 7), (5, 10**9 + 7)], 300)  # m = 10**9 + 7
     def test_series_matches_value(self, const, linear, pairs, n_max):
         form = QuasiLinearForm(const, linear, tuple(pairs))
         expected = [1] + [max(0, form.value(n)) for n in range(1, n_max + 1)]
         assert form.series(n_max) == expected
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: QuasiLinearForm(1, 0, ((-10**5000, 2),)),
+            lambda: ConditionUInstance((2,), (1,), 10**5000),
+            lambda: QuasiLinearForm(1, 0, ()).value(-10**5000),
+            lambda: ConditionUInstance((-10**5000,), (1,), 1),
+            lambda: ConditionUInstance((2,), (10**5000,), 1),
+        ],
+        ids=["pair", "index", "value", "multiplicity", "torsion-order"],
+    )
+    def test_rejected_integer_past_the_digit_limit(self, call):
+        # str() of an int past 4300 digits raises ValueError; the message
+        # names such an integer by its bit length instead
+        with pytest.raises(InvalidInputError, match="an integer of 16610 bits"):
+            call()
 
     def test_series_rejects_what_value_rejects(self):
         with pytest.raises(InvalidInputError):

@@ -42,6 +42,21 @@ class TestCoefficients:
         with pytest.raises(InvalidInputError):
             admissible_coefficients(4, 2, 2, 0)  # tame stores nu = m
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: admissible_coefficients(-10**5000, 1, 2, 1),
+            lambda: admissible_coefficients(10**5000, 10**5000 - 1, 2, 0),
+            lambda: admissible_coefficients(10**5000, 3, 2, 1),
+            lambda: admissible_coefficients(3 * 10**5000, 3, 2, 1),
+            lambda: achievable_torsion_lengths(-10**5000, 1, 2),
+        ],
+        ids=["bad-data", "tame-torsion", "divisibility", "power", "wild-data"],
+    )
+    def test_rejected_integer_past_the_digit_limit(self, call):
+        with pytest.raises(InvalidInputError, match="an integer of"):
+            call()
+
     @settings(max_examples=100)
     @given(st.integers(1, 6), st.integers(1, 2), st.sampled_from((2, 3, 5)),
            st.integers(1, 3))

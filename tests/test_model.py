@@ -30,6 +30,7 @@ from plurigenera.model import (
     MAX_SERIES_N,
     _tame_fibre,
     plurigenus_form,
+    validate_characteristic,
 )
 
 
@@ -300,6 +301,19 @@ class TestStructure:
             FibrationNumericalType(p=4, g=0, chi=0, quasi_elliptic=False, fibres=())
         with pytest.raises(InvalidInputError):
             FibrationNumericalType(p=0, g=-1, chi=0, quasi_elliptic=False, fibres=())
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda: FibreDatum(2, 10**5000, 2, 0, 0), InvalidInputError),
+            (lambda: validate_characteristic(-10**5000), InvalidInputError),
+            (lambda: validate_characteristic(10**5000), UnsupportedInputError),
+        ],
+        ids=["coefficient", "negative-characteristic", "large-characteristic"],
+    )
+    def test_rejected_integer_past_the_digit_limit(self, call, error):
+        with pytest.raises(error, match="an integer of 16610 bits"):
+            call()
 
     def test_torsion_length_is_derived_on_construction(self):
         import dataclasses

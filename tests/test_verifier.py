@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import pickle
 import pkgutil
+import random
 import re
 import time
 from dataclasses import replace
@@ -20,6 +21,7 @@ from plurigenera import (
     FibreDatum,
     InadmissibleTypeError,
     InvalidInputError,
+    QuasiLinearForm,
     UnsupportedInputError,
     check_condition_U_bruteforce,
     ConditionUInstance,
@@ -32,7 +34,7 @@ from plurigenera import (
     verify_tail,
 )
 from plurigenera.fibre_local import achievable_torsion_lengths
-from plurigenera.model import FIBRE_RULE_CACHE_SIZE, factorization
+from plurigenera.model import FIBRE_RULE_CACHE_SIZE, factorization, plurigenus_form
 from plurigenera.verifier import _fibre_violations, _wild_data
 
 
@@ -277,6 +279,84 @@ class TestTail:
     def test_requires_genus_zero(self):
         with pytest.raises(UnsupportedInputError):
             verify_tail(tame((), g=1, chi=1), 14, 2)
+
+
+def _single_type_requests(seed, count):
+    """Seeded single-type requests: tame types (some on a genus-one base,
+    some quasi-elliptic, some with a wrong tame coefficient) and types
+    with one wild fibre beside up to three tame ones; about 40 % of them
+    are inadmissible."""
+    rng = random.Random(seed)
+    requests = []
+    for _ in range(count):
+        if rng.random() < 0.65:
+            p = rng.choice((0, 2, 3, 5))
+            ms = [rng.randint(2, 30) for _ in range(rng.randint(1, 6))]
+            fibres = [FibreDatum.tame(m) for m in ms]
+            if rng.random() < 0.05:
+                m = fibres[0].m
+                fibres[0] = FibreDatum(m=m, a=rng.randrange(m), nu=m, e=0, t=0)
+            requests.append(FibrationNumericalType(
+                p=p,
+                g=1 if rng.random() < 0.15 else 0,
+                chi=rng.choices((0, 1, 2), weights=(2, 3, 3))[0],
+                quasi_elliptic=p in (2, 3) and rng.random() < 0.1,
+                fibres=tuple(fibres),
+            ))
+            continue
+        p = rng.choice((2, 3, 5))
+        e, nu, t = rng.choice((1, 1, 2)), rng.randint(1, 6), rng.choice((1, 1, 2))
+        m = nu * p**e
+        a = rng.choice((m - 1, m - 1 - nu, rng.randrange(m)))  # m >= 2*nu
+        ms = [rng.randint(2, 30) for _ in range(rng.randint(0, 3))]
+        requests.append(FibrationNumericalType(
+            p=p,
+            g=0,
+            chi=rng.choice((0, 1)),
+            quasi_elliptic=False,
+            fibres=(FibreDatum(m, a, nu, e, t), *map(FibreDatum.tame, ms)),
+        ))
+    return requests
+
+
+class TestSingleTypeQueries:
+    """``verify_main_theorem``, ``verify_tail`` and the violations they
+    raise on 2,000 seeded requests, pinned by digest like the sweeps of
+    ``TestCountedCells.PINNED``."""
+
+    PINNED = {
+        "main": "eee2519c5f06a50fba8be18d9eed37d024df5ba5da93ace42722547654d643f7",
+        "tail": "310c2e119070a3cea1306f44e37bc3786cb7d6b0201798284be6c65be29d6cf1",
+        "violations": "197a020e7ac9d4ecdbf9b5237ecd4447f7a9e1e4463aafe622b123129b50ef1b",
+    }
+
+    def test_outputs_are_pinned(self):
+        requests = _single_type_requests(20170, 2000)
+        mains, tails, violations = [], [], []
+        for t in requests:
+            try:
+                mains.append(verify_main_theorem(t).to_dict())
+            except InadmissibleTypeError as exc:
+                violations.append(list(exc.violations))
+                continue
+            tails.append(verify_tail(t, 14, 2) if t.g == 0 else None)
+        assert 0.3 < len(violations) / len(requests) < 0.5
+        got = {"main": mains, "tail": tails, "violations": violations}
+        assert {k: _digest(v) for k, v in got.items()} == self.PINNED
+
+    def test_plurigenus_form_equals_the_validated_form(self):
+        for t in _single_type_requests(20170, 2000):
+            d = 2 * t.g - 2 + t.chi + t.torsion_length
+            pairs = tuple((f.a, f.m) for f in t.fibres)
+            if t.g == 0:
+                const, linear = 1, d
+            elif t.chi + t.torsion_length >= 1:
+                const, linear, pairs = t.g - 1, 1, ()
+            elif t.g >= 2:
+                const, linear, pairs = 1 - t.g, 2 * (t.g - 1), ()
+            else:
+                const, linear = 0, 0
+            assert plurigenus_form(t) == QuasiLinearForm(const, linear, pairs), t
 
 
 CASE4_SMALL = EnumerationBounds(
