@@ -213,12 +213,8 @@ class QuasiLinearForm:
             b = a % m
             if 2 * b > m:
                 c = m - b
-                if c == 1:
-                    for n in range(1, n_max + 1, m):
-                        steps[n] -= 1
-                else:
-                    for k in range((n_max * c - 1) // m + 1):
-                        steps[k * m // c + 1] -= 1
+                for k in range((n_max * c - 1) // m + 1):
+                    steps[k * m // c + 1] -= 1
             elif b:
                 for k in range(1, n_max * b // m + 1):
                     steps[-(-k * m // b)] += 1

@@ -56,7 +56,7 @@ def _power_exponent(m: int, nu: int, p: int) -> int:
     if q != 1 or e < 1:
         raise InvalidInputError(
             f"inconsistent wild fibre: m={_int_text(m)} is not nu*p^e for "
-            f"nu={_int_text(nu)}, p={p}"
+            f"nu={_int_text(nu)}, p={_int_text(p)}"
         )
     return e
 
@@ -108,7 +108,8 @@ def achievable_torsion_lengths(nu: int, e: int, p: int) -> frozenset[int]:
         )
     if e > MAX_WILD_POWER.bit_length() or p**e > MAX_WILD_POWER:
         raise UnsupportedInputError(
-            f"wild fibre with p^e = {p}^{e} exceeds MAX_WILD_POWER = {MAX_WILD_POWER}"
+            f"wild fibre with p^e = {_int_text(p)}^{_int_text(e)} exceeds "
+            f"MAX_WILD_POWER = {MAX_WILD_POWER}"
         )
     m = nu * p**e
     # reach[(j, o)]: bit c is set when a walk from next jump j with order

@@ -165,38 +165,34 @@ def _fibre_violations(
 def is_admissible(t: FibrationNumericalType) -> AdmissibilityReport:
     """Apply every model rule and report all named violations.
 
-    The fibres are read once.  The local rules of each fibre are memoized
-    per (fibre fields, p, h1 flag) in a least-recently-used cache of
-    ``FIBRE_RULE_CACHE_SIZE`` entries.  The slope d + sum a_i/m_i is
-    positive iff d*L + sum a_i*(L/m_i) is, with L = lcm(m_i).  Condition
-    U is decided by ``_all_u`` on the fibres' (m, nu), which the fibres
-    have validated (m >= 2) and which is read only when every nu divides
-    its m."""
+    The local rules of each fibre are memoized per (fibre fields, p, h1
+    flag) in a least-recently-used cache of ``FIBRE_RULE_CACHE_SIZE``
+    entries.  The slope d + sum a_i/m_i is positive iff
+    d*L + sum a_i*(L/m_i) is, with L = lcm(m_i).  Condition U is decided
+    by ``_all_u`` on the fibres' (m, nu), which the fibres have already
+    validated, when every nu divides its m."""
     violations: list[str] = []
     if t.chi < 0:
         violations.append("chi-negative")
-    p, g, chi, tl = t.p, t.g, t.chi, t.torsion_length
-    h1_flag = _h1_at_most_one(g, chi, tl)
-    ms, coefficients, nus = [], [], []
-    divides = True
+    tl = t.torsion_length
+    h1_flag = _h1_at_most_one(t.g, t.chi, tl)
     for f in t.fibres:
-        m, a, nu = f.m, f.a, f.nu
-        violations.extend(_fibre_violations(m, a, nu, f.e, f.t, p, h1_flag))
-        ms.append(m)
-        coefficients.append(a)
-        nus.append(nu)
-        if m % nu:
-            divides = False
-    d = 2 * g - 2 + chi + tl  # delta_degree(t)
-    big_l = lcm(*ms)
-    if d * big_l + sum(a * (big_l // m) for a, m in zip(coefficients, ms)) <= 0:
+        violations.extend(_fibre_violations(f.m, f.a, f.nu, f.e, f.t, t.p, h1_flag))
+    d = 2 * t.g - 2 + t.chi + tl  # delta_degree(t)
+    big_l = lcm(*(f.m for f in t.fibres))
+    if d * big_l + sum(f.a * (big_l // f.m) for f in t.fibres) <= 0:
         violations.append("slope-nonpositive")
     if t.quasi_elliptic:
-        if p not in (2, 3):
+        if t.p not in (2, 3):
             violations.append("quasi-elliptic-char")
-        if g == 0 and chi == 0:
+        if t.g == 0 and t.chi == 0:
             violations.append("quasi-elliptic-chi0-base-P1")
-    elif g == 0 and chi == 0 and divides and not _all_u(ms, nus):
+    elif (
+        t.g == 0
+        and t.chi == 0
+        and all(f.m % f.nu == 0 for f in t.fibres)
+        and not _all_u([f.m for f in t.fibres], [f.nu for f in t.fibres])
+    ):
         violations.append("condition-U")
     return AdmissibilityReport(not violations, tuple(violations))
 

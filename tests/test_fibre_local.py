@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from plurigenera import (
     InvalidInputError,
+    UnsupportedInputError,
     achievable_torsion_lengths,
     admissible_coefficients,
 )
@@ -43,18 +44,21 @@ class TestCoefficients:
             admissible_coefficients(4, 2, 2, 0)  # tame stores nu = m
 
     @pytest.mark.parametrize(
-        "call",
+        "call, error",
         [
-            lambda: admissible_coefficients(-10**5000, 1, 2, 1),
-            lambda: admissible_coefficients(10**5000, 10**5000 - 1, 2, 0),
-            lambda: admissible_coefficients(10**5000, 3, 2, 1),
-            lambda: admissible_coefficients(3 * 10**5000, 3, 2, 1),
-            lambda: achievable_torsion_lengths(-10**5000, 1, 2),
+            (lambda: admissible_coefficients(-10**5000, 1, 2, 1), InvalidInputError),
+            (lambda: admissible_coefficients(10**5000, 10**5000 - 1, 2, 0),
+             InvalidInputError),
+            (lambda: admissible_coefficients(10**5000, 3, 2, 1), InvalidInputError),
+            (lambda: admissible_coefficients(3 * 10**5000, 3, 2, 1), InvalidInputError),
+            (lambda: achievable_torsion_lengths(-10**5000, 1, 2), InvalidInputError),
+            (lambda: achievable_torsion_lengths(1, 10**5000, 2), UnsupportedInputError),
         ],
-        ids=["bad-data", "tame-torsion", "divisibility", "power", "wild-data"],
+        ids=["bad-data", "tame-torsion", "divisibility", "power", "wild-data",
+             "wild-power"],
     )
-    def test_rejected_integer_past_the_digit_limit(self, call):
-        with pytest.raises(InvalidInputError, match="an integer of"):
+    def test_rejected_integer_past_the_digit_limit(self, call, error):
+        with pytest.raises(error, match="an integer of"):
             call()
 
     @settings(max_examples=100)
