@@ -32,8 +32,13 @@ from functools import lru_cache
 from math import lcm
 
 from .congruence import QuasiLinearForm
-from .errors import InvalidInputError, UnsupportedInputError
-from .model import FIBRE_RULE_CACHE_SIZE, FibrationNumericalType, exact_form
+from .errors import UnsupportedInputError, _check_int
+from .model import (
+    FIBRE_RULE_CACHE_SIZE,
+    FibrationNumericalType,
+    _check_type,
+    exact_form,
+)
 
 HALF = (1, 2)
 
@@ -71,8 +76,8 @@ class StatementCheck:
 
     @classmethod
     def from_form(cls, form: QuasiLinearForm, upto: int = 14) -> "StatementCheck":
-        if upto < 14:
-            raise InvalidInputError(f"the statements read P_n up to n = 14, got {upto}")
+        if type(upto) is not int or upto < 14:  # the statements read P_1 .. P_14
+            _check_int("upto", upto, 14)
         series = tuple(form.series(upto))
         first1 = first2 = None
         for n in range(1, 15):
@@ -124,19 +129,25 @@ class _ClaimFailed(Exception):
     message names the branch and the claim."""
 
 
-def _halves(k: int) -> tuple[tuple[int, int], ...]:
-    return tuple(HALF for _ in range(k))
+def _bound(linear: int, *pairs: tuple[int, int]) -> QuasiLinearForm:
+    """1 + linear*n + sum floor(n*a/m), the shape of every branch bound.
+    The branch bounds are module constants, each built and validated once,
+    not once per replayed type."""
+    return QuasiLinearForm(1, linear, pairs)
+
+
+_MAX_COEFFICIENT = _bound(0, HALF)  # some fibre has a = m-1
+_WILD_NU1 = _bound(0, (1, 3))
+_WILD_NU = _bound(0, (1, 4))
 
 
 def _single_wild_bound(nu: int):
-    if nu == 1:
-        return QuasiLinearForm(1, 0, ((1, 3),))
-    return QuasiLinearForm(1, 0, ((1, 4),))
+    return _WILD_NU1 if nu == 1 else _WILD_NU
 
 
 def _case1_bound(t):
     if any(f.a == f.m - 1 for f in t.fibres):
-        return QuasiLinearForm(1, 0, (HALF,))
+        return _MAX_COEFFICIENT
     if t.r != 1:
         raise _ClaimFailed("case1: no maximal coefficient forces a single wild fibre")
     w = t.fibres[0]
@@ -147,9 +158,13 @@ def _case1_bound(t):
     return _single_wild_bound(w.nu)
 
 
+_CASE2_P_NU1 = _bound(0, (4, 9))
+_CASE2_P_NU = _bound(0, (1, 8))
+
+
 def _case2_bound(t):
     if any(f.a == f.m - 1 for f in t.fibres):
-        return QuasiLinearForm(1, 0, (HALF,))
+        return _MAX_COEFFICIENT
     if any(not f.wild for f in t.fibres):
         raise _ClaimFailed("case2: tame fibres carry the maximal coefficient")
     if t.r == 2:
@@ -159,10 +174,10 @@ def _case2_bound(t):
         if not positive:
             raise _ClaimFailed("case2: positive slope needs some a > 0")
         if any(f.nu == 1 and f.m >= 3 for f in positive):
-            return QuasiLinearForm(1, 0, ((1, 3),))
+            return _WILD_NU1
         if all(f.nu == 1 for f in positive):
             raise _ClaimFailed("case2: nu = 1 fibre with a > 0 needs m >= 3")
-        return QuasiLinearForm(1, 0, ((1, 4),))
+        return _WILD_NU
     if t.r != 1:
         raise _ClaimFailed("case2: all-wild types have one or two fibres")
     w = t.fibres[0]
@@ -175,10 +190,22 @@ def _case2_bound(t):
         weaker = max(0, w.m - 1 - (t.p + 1) * w.nu)
         return QuasiLinearForm(1, 0, ((weaker, w.m),))
     if w.a == w.m - 1 - (t.p + 1) * w.nu:
-        if w.nu == 1:
-            return QuasiLinearForm(1, 0, ((4, 9),))
-        return QuasiLinearForm(1, 0, ((1, 8),))
+        return _CASE2_P_NU1 if w.nu == 1 else _CASE2_P_NU
     raise _ClaimFailed("case2: coefficient outside the torsion-length-2 set")
+
+
+_THREE_HALVES = _bound(-1, HALF, HALF, HALF)
+_CASE3_R3 = _bound(-1, (2, 3), HALF)
+_CASE3_M22 = _bound(-1, (1, 4), HALF, HALF)
+_CASE3_PE4_NU1 = _bound(-1, HALF, (3, 4))
+_CASE3_P5_NU1 = _bound(-1, (3, 5), (4, 5))
+_CASE3_P3_NU1 = _bound(-1, (7, 9), (2, 3))
+_CASE3_P2_NU1 = _bound(-1, (3, 4), HALF)
+_CASE3_PE4 = _bound(-1, (5, 8), HALF)
+_CASE3_PE3_NU2 = _bound(-1, HALF, (5, 6))
+_CASE3_PE3 = _bound(-1, (5, 9), (2, 3))
+_CASE3_PE2_NU = _bound(-1, (3, 8), (3, 4))
+_CASE3_PE2_2NU = _bound(-1, (1, 3), (5, 6))
 
 
 def _case3_bound(t):
@@ -188,7 +215,7 @@ def _case3_bound(t):
     w = wilds[0]
     tame = [f for f in t.fibres if not f.wild]
     if t.r >= 4 or (t.r == 3 and w.a == w.m - 1):
-        return QuasiLinearForm(1, -1, _halves(3))
+        return _THREE_HALVES
     if t.r == 3:
         if w.a != w.m - 1 - w.nu:
             raise _ClaimFailed("case3: r=3 coefficient must be m-1 or m-1-nu")
@@ -196,19 +223,19 @@ def _case3_bound(t):
             if w.a == 0 and all(f.m < 3 for f in tame):
                 raise _ClaimFailed("case3: a=0 with both tame multiplicities 2 "
                                    "contradicts positivity")
-            return QuasiLinearForm(1, -1, ((2, 3), HALF))
+            return _CASE3_R3
         # both tame multiplicities equal 2: condition U forces nu | 2,
         # and a/m = (m-1-nu)/m >= 1/4 (m >= 4 when nu = 2; m = p >= 3 when nu = 1)
         if w.nu > 2:
             raise _ClaimFailed("case3: (m,2,2) shape needs nu | 2")
         if 4 * w.a < w.m:
             raise _ClaimFailed("case3: (m,2,2) shape needs a/m >= 1/4")
-        return QuasiLinearForm(1, -1, ((1, 4), HALF, HALF))
+        return _CASE3_M22
     if t.r != 2:
         raise _ClaimFailed("case3: positivity needs r >= 2")
     m2 = tame[0].m
     if w.a == w.m - 1:
-        return QuasiLinearForm(1, -1, ((2, 3), HALF))
+        return _CASE3_R3
     if w.a != w.m - 1 - w.nu or w.a <= 0:
         raise _ClaimFailed("case3: r=2 coefficient must be m-1 or m-1-nu > 0")
     if m2 % w.nu != 0 or w.m % m2 != 0:
@@ -216,57 +243,63 @@ def _case3_bound(t):
     pe = w.m // w.nu  # p^{e_1}
     if w.nu == 1:
         if pe == 4 and m2 == 4:
-            return QuasiLinearForm(1, -1, (HALF, (3, 4)))
+            return _CASE3_PE4_NU1
         if t.p >= 5:
             if m2 < 5:
                 raise _ClaimFailed("case3: p >= 5 with nu = 1 forces m2 >= 5")
-            return QuasiLinearForm(1, -1, ((3, 5), (4, 5)))
+            return _CASE3_P5_NU1
         if t.p == 3:
             if pe < 9 or m2 < 3:
                 raise _ClaimFailed("case3: p = 3 with nu = 1 forces e >= 2, m2 >= 3")
-            return QuasiLinearForm(1, -1, ((7, 9), (2, 3)))
+            return _CASE3_P3_NU1
         if pe < 8:
             raise _ClaimFailed("case3: p = 2 with nu = 1 forces e >= 3 "
                                "(or the (4,4) shape)")
-        return QuasiLinearForm(1, -1, ((3, 4), HALF))
+        return _CASE3_P2_NU1
     if pe >= 4:
-        return QuasiLinearForm(1, -1, ((5, 8), HALF))
+        return _CASE3_PE4
     if pe == 3:
         if w.nu == 2:
             if m2 != 6:
                 raise _ClaimFailed("case3: p^e = 3, nu = 2 forces m2 = 6")
-            return QuasiLinearForm(1, -1, (HALF, (5, 6)))
+            return _CASE3_PE3_NU2
         if m2 < 3:
             raise _ClaimFailed("case3: p^e = 3, nu >= 3 forces m2 >= 3")
-        return QuasiLinearForm(1, -1, ((5, 9), (2, 3)))
+        return _CASE3_PE3
     # pe == 2
     if m2 == w.nu:
         if w.nu < 4:
             raise _ClaimFailed("case3: p^e = 2 with m2 = nu needs nu >= 4")
-        return QuasiLinearForm(1, -1, ((3, 8), (3, 4)))
+        return _CASE3_PE2_NU
     if m2 == 2 * w.nu:
         if w.nu < 3:
             raise _ClaimFailed("case3: p^e = 2 with m2 = 2nu needs nu >= 3")
-        return QuasiLinearForm(1, -1, ((1, 3), (5, 6)))
+        return _CASE3_PE2_2NU
     raise _ClaimFailed("case3: p^e = 2 forces m2 in {nu, 2nu}")
+
+
+_CASE3_TAME_R2 = _bound(-1, HALF, (2, 3))
 
 
 def _case3_tame_bound(t):
     if t.r >= 3:
-        return QuasiLinearForm(1, -1, _halves(3))
+        return _THREE_HALVES
     if t.r == 2:
         if t.fibres[1].m < 3:
             raise _ClaimFailed("case3-tame: positivity forces the larger "
                                "multiplicity >= 3")
-        return QuasiLinearForm(1, -1, (HALF, (2, 3)))
+        return _CASE3_TAME_R2
     raise _ClaimFailed("case3-tame: positivity needs r >= 2")
 
 
+# each family: its least triple and the bound of the triples above it
 _CASE4_FAMILIES = {
-    "m1-ge-4": ((4, 4, 4), ((3, 4), (3, 4), (3, 4))),
-    "3-6-6": ((3, 6, 6), ((2, 3), (5, 6), (5, 6))),
-    "3-4-12": ((3, 4, 12), ((2, 3), (3, 4), (11, 12))),
+    "m1-ge-4": ((4, 4, 4), _bound(-2, (3, 4), (3, 4), (3, 4))),
+    "3-6-6": ((3, 6, 6), _bound(-2, (2, 3), (5, 6), (5, 6))),
+    "3-4-12": ((3, 4, 12), _bound(-2, (2, 3), (3, 4), (11, 12))),
 }
+_FIVE_HALVES = _bound(-2, HALF, HALF, HALF, HALF, HALF)
+_CASE4_R4 = _bound(-2, HALF, HALF, (2, 3), (2, 3))
 
 
 def case4_sharp_family(ms: tuple[int, ...]) -> str | None:
@@ -284,23 +317,23 @@ def case4_sharp_family(ms: tuple[int, ...]) -> str | None:
 def _case4_bound(t):
     ms = tuple(f.m for f in t.fibres)
     if t.r >= 5:
-        return QuasiLinearForm(1, -2, _halves(5))
+        return _FIVE_HALVES
     if t.r == 4:
         if not all(m >= w for m, w in zip(ms, (2, 2, 3, 3))):
             raise _ClaimFailed("case4: admissible quadruples dominate (2,2,3,3)")
-        return QuasiLinearForm(1, -2, (HALF, HALF, (2, 3), (2, 3)))
+        return _CASE4_R4
     if t.r != 3:
         raise _ClaimFailed("case4: positivity needs r >= 3")
     if ms[0] >= 4:
-        worst, pairs = _CASE4_FAMILIES["m1-ge-4"]
+        worst, bound = _CASE4_FAMILIES["m1-ge-4"]
         if not all(m >= w for m, w in zip(ms, worst)):
             raise _ClaimFailed("case4: m1 >= 4 triples dominate (4,4,4)")
-        return QuasiLinearForm(1, -2, pairs)
+        return bound
     if ms[0] == 3:
         for key in ("3-6-6", "3-4-12"):
-            worst, pairs = _CASE4_FAMILIES[key]
+            worst, bound = _CASE4_FAMILIES[key]
             if all(m >= w for m, w in zip(ms, worst)):
-                return QuasiLinearForm(1, -2, pairs)
+                return bound
         raise _ClaimFailed("case4: m1 = 3 triples dominate (3,6,6) or (3,4,12)")
     if case4_sharp_family(ms) is None:
         raise _ClaimFailed("case4: m1 = 2 triples are (2,b,2b), b >= 5 odd, "
@@ -311,7 +344,7 @@ def _case4_bound(t):
 def _easy_chi2_bound(t):
     if t.r < 1:
         raise _ClaimFailed("easy-chi-2: positivity needs a multiple fibre")
-    return QuasiLinearForm(1, 0, (HALF,))
+    return _MAX_COEFFICIENT
 
 
 @dataclass(frozen=True, slots=True)
@@ -344,29 +377,29 @@ class CellRow:
 _CELL_ROWS = {
     (0, 0): CellRow("case4", _case4_bound, (
         # five or more tame fibres
-        ClassCertificate("case4-r-ge-5", QuasiLinearForm(1, -2, _halves(5))),
+        ClassCertificate("case4-r-ge-5", _FIVE_HALVES),
     ), tame_cap=4),
     (0, 1): CellRow("case3", _case3_bound, (
         # four or more fibres (three tame floors suffice)
-        ClassCertificate("case3-r-ge-4", QuasiLinearForm(1, -1, _halves(3))),
+        ClassCertificate("case3-r-ge-4", _THREE_HALVES),
     ), tame_cap=2),
     (0, 2): CellRow("case2", _case2_bound, (
         # some fibre has a = m-1 (any tame companion qualifies)
-        ClassCertificate("case2-max-coefficient", QuasiLinearForm(1, 0, (HALF,))),
+        ClassCertificate("case2-max-coefficient", _MAX_COEFFICIENT),
     ), tame_cap=0),
     (1, 1): CellRow("case1", _case1_bound, (
         # some fibre has a = m-1 (any tame companion qualifies)
-        ClassCertificate("case1-max-coefficient", QuasiLinearForm(1, 0, (HALF,))),
+        ClassCertificate("case1-max-coefficient", _MAX_COEFFICIENT),
     ), tame_cap=0),
     (1, 0): CellRow("case3-tame", _case3_tame_bound, (
         # two tame fibres; positivity forces multiplicities >= (2,3)
-        ClassCertificate("case3-tame-r-2", QuasiLinearForm(1, -1, (HALF, (2, 3)))),
+        ClassCertificate("case3-tame-r-2", _CASE3_TAME_R2),
         # three or more tame fibres
-        ClassCertificate("case3-tame-r-ge-3", QuasiLinearForm(1, -1, _halves(3))),
+        ClassCertificate("case3-tame-r-ge-3", _THREE_HALVES),
     ), tame_cap=None),
     (2, 0): CellRow("easy-chi-2", _easy_chi2_bound, (
         # degree-zero base term with at least one tame fibre
-        ClassCertificate("easy-chi-2", QuasiLinearForm(1, 0, (HALF,))),
+        ClassCertificate("easy-chi-2", _MAX_COEFFICIENT),
     ), tame_cap=None),
 }
 
@@ -386,6 +419,9 @@ def _large_degree_row(d: int) -> CellRow:
 def cell_row(chi: int, t: int) -> CellRow:
     """The row of the genus-zero cell (chi, t); the cells with
     chi + t >= 3 share one row per base degree d = chi + t - 2."""
+    if type(chi) is not int or type(t) is not int:
+        _check_int("chi", chi)
+        _check_int("t", t)
     if chi >= 0 and t >= 0:
         return _large_degree_row(chi + t - 2) if chi + t >= 3 else _CELL_ROWS[chi, t]
     raise UnsupportedInputError(
@@ -399,6 +435,7 @@ def replay_type(
     """Rebuild the branch bound for one genus-zero type, check the branch's
     structural claims, and certify the bound against the exact formula
     (``exact``, when the caller has already built ``exact_form(t)``)."""
+    _check_type(t)
     if t.g != 0:
         raise UnsupportedInputError("the case replay covers genus-zero types")
     row = cell_row(t.chi, t.torsion_length)

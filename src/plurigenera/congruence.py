@@ -32,6 +32,12 @@ from .errors import (
 
 DEFAULT_ORACLE_BOUND = 10**6
 
+# The most values of n ``QuasiLinearForm.eventually_at_least`` scans for
+# a form that can fall (linear + sum a//m < 0); past it the call raises
+# ``UnsupportedInputError``.  A scan is one ``value`` per n: about 0.1 s
+# at this bound for a form of a few pairs.
+MAX_TAIL_WINDOW = 10**5
+
 
 @dataclass(frozen=True, slots=True)
 class ConditionUInstance:
@@ -243,7 +249,18 @@ class QuasiLinearForm:
         a value below n* is at least its translate one period earlier:
         only [threshold, min(n*, threshold + P)) needs scanning.  Zero rise
         is periodic (scan one period); negative rise fails eventually.
+
+        When linear + sum a//m >= 0 the form is nondecreasing (each
+        floor(n*a/m) rises by at least a//m per step), so value(threshold)
+        decides.  Otherwise a scan past ``MAX_TAIL_WINDOW`` values raises
+        ``UnsupportedInputError``.
         """
+        if type(threshold) is not int or threshold < 0:
+            _check_int("threshold", threshold, 0)
+        if type(target) is not int:
+            _check_int("target", target)
+        if self.linear + sum(a // m for a, m in self.pairs) >= 0:
+            return self.value(threshold) >= target
         period = self.period()
         rise = self.linear * period
         loss = 0
@@ -256,4 +273,9 @@ class QuasiLinearForm:
         if rise > 0:
             envelope = -((-(target - self.const) * period - loss) // rise)
             n_hi = min(n_hi, max(threshold, envelope))
+        if n_hi - threshold > MAX_TAIL_WINDOW:
+            raise UnsupportedInputError(
+                f"deciding the tail scans {_int_text(n_hi - threshold)} values of n, "
+                f"more than MAX_TAIL_WINDOW = {MAX_TAIL_WINDOW}"
+            )
         return all(self.value(n) >= target for n in range(threshold, n_hi))

@@ -284,6 +284,15 @@ class FibrationNumericalType:
         return cls.from_dict(data)
 
 
+def _check_type(t) -> None:
+    """``InvalidInputError`` unless ``t`` is a ``FibrationNumericalType``:
+    the one check of the public calls that take a type."""
+    if not isinstance(t, FibrationNumericalType):
+        raise InvalidInputError(
+            f"expected a FibrationNumericalType, got {type(t).__name__}"
+        )
+
+
 @dataclass(frozen=True, slots=True)
 class PlurigenusValue:
     """An n-th plurigenus: exact when ``exact`` is true, otherwise a
@@ -312,6 +321,7 @@ def slope(t: FibrationNumericalType) -> Fraction:
     Positive slope is the admissibility surrogate for Kodaira dimension
     one on a relatively minimal fibration with K^2 = 0.
     """
+    _check_type(t)
     s = Fraction(delta_degree(t))
     for f in t.fibres:
         s += Fraction(f.a, f.m)

@@ -28,11 +28,22 @@ so it yields each wild shape once - a tuple of ``_wild_data`` groups
 combinations behind it.  Both modes pair each shape with tame companions
 in one stream, ``_cell_candidates``: drawn from the condition-U walk when
 U applies (chi = 0, elliptic), from all multisets otherwise, and none
-when no fibre slot is free, where U is decided on integers.  A companion
-adds the shape's weight to the cell's candidates, and so does a bare
-shape that fails U, which is counted but never built.  ``_cell_types``
-expands a shape into its combinations only beside a companion, each
-checked by ``is_admissible``.
+when no fibre slot is free, where U is decided on the shape's integers
+(``_shape_u``).  A companion adds the shape's weight to the cell's
+candidates, and so does a bare shape that fails U, which is counted but
+never built.  ``_cell_types`` expands a shape into its combinations only
+beside a companion, and decides each on integers.  Every rule of
+``is_admissible`` but the slope holds there by construction: the
+``_wild_data`` menus are built by the local rules (``_count_certified``
+sets out why the h^1 flag does not matter), tame fibres are the shared
+``FibreDatum.tame`` instances, the walk and ``_shape_u`` decide
+condition U, and ``_cell_order`` gives each cell chi >= 0 and the
+quasi-elliptic rules.  So only the slope d*L + sum a*(L/m) > 0 is
+tested, on plain integers; the existence flag is read from the shape's
+torsion lengths, and the survivors are sorted on integer keys before
+any is built.  ``is_admissible`` stays the public decider and the
+oracle: a test holds ``_cell_types`` against ``is_admissible``
+filtering of candidates built independently.
 The material mode lets the companions fill every free slot; the
 certified mode caps them at the row's ``tame_cap``.  A cell that would
 test more than ``MATERIAL_GUARD`` candidates stops the sweep with
@@ -44,16 +55,17 @@ The certified mode counts the wild cells that their row covers whole
 (``_count_certified``).  There d >= 1, the row's one certificate,
 easy-large-degree (P_n >= n*d + 1), bounds every type termwise, and
 every wild combination is admissible unless U applies and its shape
-fails U.  So the count is the summed weights of the shapes of
-``_cell_candidates`` with no free slot, the stream that building the
-cell reads, guarded on the same running total.  It builds them only
-with ``keep_rows``, which needs a row per type.  When the sweep's
-maximum first1 or first2 is at most 1 (as at ``max_fibres=1``), the
-attainer lists include every counted type: ``verify_all`` fills them in
-place from ``_cell_types``, and sweeps no cell twice.  ``materialized``
-and ``total_materialized`` count the covered types, built or counted;
-a tame cell that its row covers whole is reported through one stand-in
-per certificate (``_materialize_certified``).
+fails U.  So the count is the number of wild combinations, in closed
+form, or where U applies the summed weights of the shapes that pass it;
+the guard reads the closed form, the total that the stream building
+the cell reads would reach.  It builds them only with ``keep_rows``,
+which needs a row per type.  When the sweep's maximum first1 or first2
+is at most 1 (as at ``max_fibres=1``), the attainer lists include every
+counted type: ``verify_all`` fills them in place from ``_cell_types``,
+and sweeps no cell twice.  ``materialized`` and ``total_materialized``
+count the covered types, built or counted; a tame cell that its row
+covers whole is reported through one stand-in per certificate
+(``_materialize_certified``).
 
 ``_map_cells`` is the one cell executor, serial or in a process pool,
 for both sweep modes, ``enumerate_types`` and ``find_sharp_cases``.  It
@@ -62,7 +74,7 @@ quasi_elliptic), which differ only in p - once, in its first cell, and
 re-keys that result for the class's other cells
 (``_with_characteristic``).  That is exact: nothing a tame type meets
 reads p.  ``_fibre_violations`` returns from its tame branch before it
-reads p; the slope, condition U, ``_finalize`` (which acts on wild
+reads p; the slope, condition U, the existence flag (which reads wild
 fibres only), ``cell_row(chi, t)`` and the tame branches of
 ``replay_type`` do not read it; and quasi-elliptic cells exist only for
 p in {2, 3}, which both pass the quasi-elliptic characteristic rule.
@@ -75,6 +87,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, count, groupby, product
 from math import comb, lcm, prod
+from operator import attrgetter, itemgetter
 
 from .cases import (
     StatementCheck,
@@ -93,6 +106,7 @@ from .errors import (
     UnsupportedInputError,
     _check_int,
     _check_tuple,
+    _int_text,
 )
 from .fibre_local import (
     achievable_torsion_lengths,
@@ -102,6 +116,8 @@ from .model import (
     FIBRE_RULE_CACHE_SIZE,
     FibrationNumericalType,
     FibreDatum,
+    _check_type,
+    _tame_fibre,
     factorization,
     plurigenus,  # noqa: F401 - perfbench's tracer wraps verifier.plurigenus
     plurigenus_form,
@@ -110,6 +126,14 @@ from .model import (
 )
 
 MATERIAL_GUARD = 5_000_000
+
+# The largest ``EnumerationBounds.max_mult``.  The condition-U walk and
+# the wild fibre menus loop over every multiplicity up to it, so the work
+# of a cell grows with it before ``MATERIAL_GUARD`` can refuse the cell:
+# at this bound the slowest sweeps measured take about 13 s (README,
+# "Work limits"), and no wild fibre's p**e passes
+# ``fibre_local.MAX_WILD_POWER``.
+MAX_MULT = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,6 +195,7 @@ def is_admissible(t: FibrationNumericalType) -> AdmissibilityReport:
     d*L + sum a_i*(L/m_i) is, with L = lcm(m_i).  Condition U is decided
     by ``_all_u`` on the fibres' (m, nu), which the fibres have already
     validated, when every nu divides its m."""
+    _check_type(t)
     violations: list[str] = []
     if t.chi < 0:
         violations.append("chi-negative")
@@ -255,6 +280,7 @@ def verify_tail(t: FibrationNumericalType, threshold: int, target: int) -> bool:
     """Exactly decide ``P_n >= target for all n >= threshold`` (g = 0)."""
     _check_int("threshold", threshold)
     _check_int("target", target)
+    _check_type(t)
     if t.g != 0:
         raise UnsupportedInputError("verify_tail requires a genus-zero base")
     _require_admissible(t)
@@ -278,6 +304,10 @@ class EnumerationBounds:
 
     def __post_init__(self):
         _check_int("max_mult", self.max_mult, 2)
+        if self.max_mult > MAX_MULT:
+            raise UnsupportedInputError(
+                f"max_mult {_int_text(self.max_mult)} exceeds MAX_MULT = {MAX_MULT}"
+            )
         _check_int("max_fibres", self.max_fibres, 1)
         _check_int("max_chi_plus_t", self.max_chi_plus_t, 0)
         for flag in ("include_wild", "include_quasi_elliptic"):
@@ -389,6 +419,33 @@ def _multisets_upto(max_mult: int, max_size: int):
         yield from combinations_with_replacement(values, k)
 
 
+@lru_cache(maxsize=FIBRE_RULE_CACHE_SIZE)
+def _u_masks(m: int, nu: int) -> tuple[int, int]:
+    """Bit masks over prime powers (bit q^v for q^v): the needs of a fibre
+    (m, nu), the q^v exactly dividing m for each prime q | nu, and what it
+    covers, every prime power dividing m."""
+    needs = covers = 0
+    for q, v in factorization(m):
+        if nu % q == 0:
+            needs |= 1 << q**v
+        for w in range(1, v + 1):
+            covers |= 1 << q**w
+    return needs, covers
+
+
+def _shape_u(shape) -> bool:
+    """Condition U for the fibres of a wild shape and no others.  By the
+    criterion of ``_covered_companions`` a need q^v of one fibre must
+    divide the m of another: so every need bit is covered twice."""
+    needs = once = twice = 0
+    for m, nu, _ in shape:
+        need, cover = _u_masks(m, nu)
+        needs |= need
+        twice |= once & cover
+        once |= cover
+    return not needs & ~twice
+
+
 def _covered_companions(max_mult: int, max_size: int, wilds):
     """Tame companion multisets compatible with condition U (streamed),
     beside wild fibres given by their (m, nu) pairs.
@@ -418,55 +475,78 @@ def _covered_companions(max_mult: int, max_size: int, wilds):
         if q**b > max_mult:
             return  # no tame value can match the wild peak
 
+    facts = [()] + [factorization(u) for u in range(1, max_mult + 1)]
+    # the top two valuations (b, second) placed so far of each prime that
+    # divides a placed value; a prime leaves when its last value does
     top: dict[int, tuple[int, int]] = {}
+    # q^b for each prime q with an unmatched tame peak or an unmet wild
+    # requirement b: only a value >= q^b can still match it
+    due = {q: q**b for q, b in req.items()}
     placed: list[int] = []
-
-    def deadline() -> int:
-        # the largest q^b of an unmatched tame peak or an unmet wild
-        # requirement (0 if none): only a value >= q^b can still match it
-        d = 0
-        for q, (b, second) in top.items():
-            if b > 0 and second < b and wild_cover.get(q, 0) < b:
-                d = max(d, q**b)
-        for q, b in req.items():
-            if top.get(q, (0, 0))[0] < b:
-                d = max(d, q**b)
-        return d
 
     def walk(v: int, slots: int):
         # Skipping a value leaves the state unchanged, so the walk skips
         # straight to the lowest value it may still place: one below the
-        # deadline, below which the branch is dead, or 1.  It recurses
-        # once per placed value (at most max_size deep), and the
-        # candidates come out in the order of the one-value-per-step walk.
-        d = deadline()
+        # deadline (the largest due value), below which the branch is
+        # dead, or 1.  It recurses once per placed value (at most
+        # max_size deep), and the candidates come out in the order of the
+        # one-value-per-step walk.
+        d = max(due.values(), default=0)
         low = min(v, max(1, d - 1))
         if low == 1 and d == 0:
             yield tuple(reversed(placed))  # placed descends
         if slots == 0:
             return
-        for u in range(low + 1, v + 1):
-            snapshot = {q: top.get(q, (0, 0)) for q, _ in factorization(u)}
+        # a last value clears each due q^b only if q^b divides it, so it
+        # steps through the multiples of their lcm (1 when none is due)
+        step = lcm(*due.values()) if slots == 1 else 1
+        for u in range(-(-(low + 1) // step) * step, v + 1, step):
+            fu = facts[u]
+            snapshot = [(q, top.get(q), due.get(q)) for q, _ in fu]
             for k in range(1, slots + 1):
-                for q, al in factorization(u):
+                for q, al in fu:
                     b, second = top.get(q, (0, 0))
                     if k >= 2 and al >= b:
-                        top[q] = (al, al)
+                        b, second = al, al
                     elif al > b:
-                        top[q] = (al, b)
+                        b, second = al, b
                     else:
-                        top[q] = (b, max(second, al))
+                        second = max(second, al)
+                    top[q] = (b, second)
+                    peak = q**b if second < b and wild_cover.get(q, 0) < b else 0
+                    need = req.get(q, 0)
+                    if b < need:
+                        peak = max(peak, q**need)
+                    if peak:
+                        due[q] = peak
+                    else:
+                        due.pop(q, None)
                 placed.append(u)
-                yield from walk(u - 1, slots - k)
+                if k < slots:
+                    yield from walk(u - 1, slots - k)
+                elif not due:  # a full leaf: walk(u - 1, 0) would yield it alone
+                    yield tuple(reversed(placed))
             del placed[len(placed) - slots :]
-            for q, state in snapshot.items():
-                top[q] = state
+            for q, state, was_due in snapshot:
+                if state is None:
+                    del top[q]
+                else:
+                    top[q] = state
+                if was_due is None:
+                    due.pop(q, None)
+                else:
+                    due[q] = was_due
 
     yield from walk(max_mult, max_size)
 
 
 def _cell_order(bounds: EnumerationBounds):
-    """Cells (p, chi, t, quasi_elliptic) for the genus-zero enumeration."""
+    """Cells (p, chi, t, quasi_elliptic) for the genus-zero enumeration;
+    the one check that the public sweeps were given bounds."""
+    if not isinstance(bounds, EnumerationBounds):
+        raise InvalidInputError(
+            f"expected EnumerationBounds, got {type(bounds).__name__}"
+        )
     cells = []
     for p in bounds.characteristics:
         for chi in range(bounds.max_chi_plus_t + 1):
@@ -484,14 +564,22 @@ def _cell_order(bounds: EnumerationBounds):
     return cells
 
 
-def _finalize(t: FibrationNumericalType) -> FibrationNumericalType:
-    """Attach the existence-doubt flag: to the single doubly-wild shape,
-    and to a type with a fibre of torsion length t_j >= 3, whose
-    coefficient comes from the divisibility superset, not a sharp rule
+def _existence_unknown(chi: int, g: int, r: int, wild_ts) -> bool:
+    """Whether a type with r fibres, whose wild fibres have the torsion
+    lengths ``wild_ts``, is flagged: the single doubly-wild shape, and a
+    type with a fibre of torsion length t_j >= 3, whose coefficient comes
+    from the divisibility superset, not a sharp rule
     (``CoefficientSet.sharp`` is false)."""
-    if any(f.t >= 3 for f in t.fibres) or (
-        t.chi == 0 and t.g == 0 and t.r == 1 and t.fibres[0].t == 2
-    ):
+    return any(t_j >= 3 for t_j in wild_ts) or (
+        chi == 0 and g == 0 and r == 1 and list(wild_ts) == [2]
+    )
+
+
+def _finalize(t: FibrationNumericalType) -> FibrationNumericalType:
+    """``t`` with the existence-doubt flag attached where it is due: the
+    type-level form of ``_existence_unknown``, the reference the tests
+    hold ``_cell_types`` against."""
+    if _existence_unknown(t.chi, t.g, t.r, [f.t for f in t.fibres if f.t]):
         return replace(t, existence_unknown=True)
     return t
 
@@ -530,10 +618,7 @@ def _cell_candidates(bounds: EnumerationBounds, cell, max_tame: int):
     for shape, weight in _wild_combos(p, t, bounds.max_fibres, bounds.max_mult):
         slots = min(max_tame, bounds.max_fibres - len(shape))
         if slots == 0:
-            ok = not u_applies or _all_u(
-                [m for m, _, _ in shape], [nu for _, nu, _ in shape]
-            )
-            companions = ((),) if ok else (None,)
+            companions = ((),) if not u_applies or _shape_u(shape) else (None,)
         elif u_applies:
             pairs = [(m, nu) for m, nu, _ in shape]
             companions = _covered_companions(bounds.max_mult, slots, pairs)
@@ -547,23 +632,51 @@ def _cell_candidates(bounds: EnumerationBounds, cell, max_tame: int):
                 yield shape, weight, comp
 
 
+_FIBRE_KEY = attrgetter("m", "nu", "t", "a", "e")
+
+
 def _cell_types(bounds: EnumerationBounds, cell, max_tame: int):
     """The admissible types of one cell that pair a wild combination with
     at most ``max_tame`` tame fibres (``_cell_candidates``), canonically
     sorted.  The tame fibres are the shared ``FibreDatum.tame`` instances
     and the wild ones the ``_wild_data`` records, so the types of a cell
-    share their fibre objects."""
-    p, chi, _, quasi = cell
+    share their fibre objects.
+
+    Of the rules of ``is_admissible`` only the slope is left to test, as
+    the module docstring sets out; it is tested on integers, with one
+    L = lcm(m) per (shape, companion).  The survivors are sorted by flat
+    integer keys - within a cell, the canonical ``sort_key`` compares the
+    number of fibres, then the fibres' (m, nu, t, a, e) in turn - and only
+    then built.
+    Companions come in ascending m, which is the canonical order of tame
+    fibres, so a tame-only candidate needs no sorting."""
+    p, chi, t, quasi = cell
+    d = chi + t - 2  # the base degree of every type of the cell
     found = []
+
+    def keep(fibres, doubt):
+        key = (len(fibres), *chain.from_iterable(map(_FIBRE_KEY, fibres)))
+        found.append((key, fibres, doubt))
+
     for shape, _, comp in _cell_candidates(bounds, cell, max_tame):
-        tames = tuple(FibreDatum.tame(m) for m in comp)
+        tames = tuple(map(_tame_fibre, comp))
+        big_l = lcm(*(m for m, _, _ in shape), *comp)
+        tame_part = d * big_l + sum((m - 1) * (big_l // m) for m in comp)
+        if not shape:
+            if tame_part > 0:
+                keep(tames, False)
+            continue
+        scales = [big_l // m for m, _, _ in shape]
+        r = len(shape) + len(comp)
+        doubt = _existence_unknown(chi, 0, r, [fs[0].t for _, _, fs in shape])
         for wilds in _expand(shape):
-            cand = FibrationNumericalType(
-                p=p, g=0, chi=chi, quasi_elliptic=quasi, fibres=wilds + tames
-            )
-            if is_admissible(cand).admissible:
-                found.append(_finalize(cand))
-    return sorted(found, key=lambda x: x.sort_key)
+            if tame_part + sum(f.a * s for f, s in zip(wilds, scales)) > 0:
+                keep(tuple(sorted(wilds + tames, key=_FIBRE_KEY)), doubt)
+    found.sort(key=itemgetter(0))
+    return [
+        FibrationNumericalType(p, 0, chi, quasi, fibres, doubt)
+        for _, fibres, doubt in found
+    ]
 
 
 def _cell_types_material(bounds: EnumerationBounds, cell):
@@ -688,6 +801,7 @@ def _count_certified(bounds: EnumerationBounds, cell) -> int:
     one: the summed weights of its candidates in ``_cell_candidates``,
     the stream ``_cell_types`` builds from, so it equals
     ``len(_cell_types(bounds, cell, 0))`` and raises where that does.
+    It reads that stream only where U applies.
 
     Every fibre of the ``_wild_data`` menus passes its local rules: they
     are built by those rules with the h^1 flag off, t_j = 1 coefficients
@@ -696,14 +810,38 @@ def _count_certified(bounds: EnumerationBounds, cell) -> int:
     from the cell's row: no residual, and one certificate (1 + n*d) that
     bounds every type termwise by a floor-free form, nondecreasing and
     >= 2 from n = 1 on, so no type fails a statement or its replay, and
-    P_13 >= 2."""
-    _, chi, t, _ = cell
+    P_13 >= 2.
+
+    With no tame slot every wild combination adds to the guarded total,
+    so the total is in closed form: the sum, over the partitions of t
+    into runs of k_j fibres of torsion length t_j, of the product of the
+    multiset counts C(N_j + k_j - 1, k_j) of the t_j menus of N_j
+    records.  Where U does not apply that total is the count; where it
+    does, the shapes that pass U (``_shape_u``) add their weights."""
+    p, chi, t, quasi = cell
     row = cell_row(chi, t)
     (cert,) = row.certificates
     bound = cert.bound
     if row.tame_cap is not None or bound.pairs or bound.linear < 0 or bound.value(1) < 2:
         raise AssertionError(f"cell {cell} is not covered whole by P_n >= 2 for n >= 1")
-    return sum(weight for _, weight, _ in _cell_candidates(bounds, cell, 0))
+    menus = {
+        t_j: sum(len(fs) for _, _, fs in _wild_data(p, t_j, bounds.max_mult))
+        for t_j in range(1, t + 1)
+    }
+    parts = [t_j for t_j, size in menus.items() if size]
+    total = sum(
+        prod(comb(menus[t_j] + k - 1, k) for t_j, k in runs)
+        for runs in _torsion_partitions(t, bounds.max_fibres, parts)
+    )
+    if total > MATERIAL_GUARD:
+        raise _refusal(cell, "exceeds")
+    if chi != 0 or quasi:
+        return total
+    return sum(
+        weight
+        for shape, weight in _wild_combos(p, t, bounds.max_fibres, bounds.max_mult)
+        if _shape_u(shape)
+    )
 
 
 def _raise_max(best: tuple[int, list], value: int, attainers) -> tuple[int, list]:

@@ -434,6 +434,13 @@ class TestArbitraryInputGate:
         if detail is not None:
             assert detail in json.dumps(envelope["result"])
 
+    def test_max_mult_past_the_limit_is_refused(self):
+        argv = ["verify-all", "--max-mult", "300000", "--max-fibres", "1",
+                "--max-chi-plus-t", "0", "--characteristics", "0"]
+        code, envelope = _run_gated(argv)
+        assert code == 2 and envelope["result"]["error"] == "unsupported-input"
+        assert "MAX_MULT" in envelope["result"]["message"]
+
     @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
     def test_output_integer_past_the_print_limit_is_refused(self, capsys, fmt):
         # chi has 4,298 digits, under the parse limit; P_10000 has more
@@ -487,6 +494,8 @@ class TestArbitraryInputGate:
     @example(["enumerate"], 12, 4, 2, [0, 2, 3, 5, 7], False, False, [])
     @example(["sharp", "--predicate", "p13-equals-1"], 12, 4, 2, [0, 2, 3, 5, 7],
              False, False, [])
+    # past verifier.MAX_MULT: refused before any cell runs
+    @example(["verify-all"], 10**9, 1, 0, [0], False, False, [])
     def test_sweep_commands(
         self, command, max_mult, max_fibres, max_chi_plus_t, ps, no_wild, no_quasi,
         spoiled,

@@ -286,6 +286,28 @@ class TestQuasiLinearForm:
         form = QuasiLinearForm(5, -1, ())
         assert form.eventually_at_least(1, 1) is False
 
+    def test_nondecreasing_form_is_decided_at_the_threshold(self):
+        # linear + sum a//m >= 0: the period (10^18) is never scanned
+        from plurigenera.cases import StatementCheck
+
+        assert QuasiLinearForm(5, 0, ((1, 10**18),)).eventually_at_least(0, 5) is True
+        assert QuasiLinearForm(5, 0, ((1, 10**18),)).eventually_at_least(0, 6) is False
+        rising = QuasiLinearForm(0, -1, ((3, 2), (1, 10**18)))  # floor(n/2)
+        assert rising.eventually_at_least(8, 4) and not rising.eventually_at_least(7, 4)
+        check = StatementCheck.from_form(QuasiLinearForm(2, 0, ((1, 10**18),)))
+        assert check.tail and not check.failed
+
+    def test_window_past_the_limit_is_refused(self):
+        from plurigenera.congruence import MAX_TAIL_WINDOW
+
+        # growth 1/10^9 over a period of 10^9: every n up to the envelope
+        form = QuasiLinearForm(0, -1, ((1, 2), (1, 2), (1, 10**9)))
+        with pytest.raises(UnsupportedInputError, match="MAX_TAIL_WINDOW"):
+            form.eventually_at_least(0, 1)
+        # the same shape with a window of MAX_TAIL_WINDOW - 1 is scanned
+        form = QuasiLinearForm(0, -1, ((1, 2), (1, 2), (1, MAX_TAIL_WINDOW)))
+        assert form.eventually_at_least(0, -1) is True
+
     @settings(max_examples=200)
     @given(
         st.integers(-6, 6),

@@ -33,6 +33,7 @@ from plurigenera import (
     verify_main_theorem,
     verify_tail,
 )
+from plurigenera.cases import StatementCheck, cell_row, replay_type
 from plurigenera.fibre_local import achievable_torsion_lengths
 from plurigenera.model import FIBRE_RULE_CACHE_SIZE, factorization, plurigenus_form
 from plurigenera.verifier import _fibre_violations, _wild_data
@@ -249,7 +250,10 @@ class TestCompactLayout:
             cls
             for module in pkgutil.iter_modules(plurigenera.__path__)
             for cls in vars(importlib.import_module(f"plurigenera.{module.name}")).values()
-            if dataclasses.is_dataclass(cls) and cls.__module__.startswith("plurigenera.")
+            # a module-level dataclass instance (a constant) is not a class
+            if isinstance(cls, type)
+            and dataclasses.is_dataclass(cls)
+            and cls.__module__.startswith("plurigenera.")
         ]
         assert FibrationNumericalType in classes and len(set(classes)) >= 16
         for cls in classes:
@@ -436,6 +440,14 @@ class TestEnumeration:
         with pytest.raises(InvalidInputError):
             EnumerationBounds(**field)
 
+    def test_bounds_past_max_mult_are_refused(self):
+        from plurigenera.verifier import MAX_MULT
+
+        assert EnumerationBounds(max_mult=MAX_MULT).max_mult == MAX_MULT
+        for max_mult in (MAX_MULT + 1, 10**9, 10**5000):
+            with pytest.raises(UnsupportedInputError, match="MAX_MULT"):
+                EnumerationBounds(max_mult=max_mult)
+
     def test_guard(self, monkeypatch):
         from plurigenera import verifier
 
@@ -569,19 +581,19 @@ class TestEnumeration:
         self, bounds, monkeypatch
     ):
         # with no tame slot, _cell_types decides condition U once per
-        # (m, nu) shape and builds only the combinations that pass, so
-        # is_admissible never sees one that fails it
+        # (m, nu) shape and builds only the combinations it keeps, so no
+        # combination that fails U is ever built
         from plurigenera import verifier
         from plurigenera.verifier import _cell_types, _finalize
 
-        seen = []
+        built = []
+        construct = FibrationNumericalType.__post_init__
 
-        def recording(ty):
-            rep = is_admissible(ty)
-            seen.extend(rep.violations)
-            return rep
+        def recording(self):
+            construct(self)
+            built.append(self)
 
-        monkeypatch.setattr(verifier, "is_admissible", recording)
+        monkeypatch.setattr(FibrationNumericalType, "__post_init__", recording)
         guard = verifier.MATERIAL_GUARD
         rejected_by_u = 0
         for p in bounds.characteristics:
@@ -598,7 +610,9 @@ class TestEnumeration:
                     (_finalize(ty) for ty, rep in zip(raw, reports) if rep.admissible),
                     key=lambda ty: ty.sort_key,
                 )
+                built.clear()
                 assert _cell_types(bounds, cell, 0) == expected, cell
+                assert built == expected
                 rejected_by_u += sum("condition-U" in rep.violations for rep in reports)
                 # a combination rejected before it is built still counts
                 # toward the guard
@@ -609,7 +623,6 @@ class TestEnumeration:
                 assert _cell_types(bounds, cell, 0) == expected
                 monkeypatch.setattr(verifier, "MATERIAL_GUARD", guard)
         assert rejected_by_u > 0
-        assert seen and "condition-U" not in seen
 
     def test_condition_u_walk_order_is_pinned(self):
         # the brute-filter test above compares sets; this pins the order in
@@ -630,6 +643,98 @@ class TestEnumeration:
         assert digest == (
             "9ffe3f6a0526fed16680ee441a0e3cd548996c6ba6da2f914ac539c500487fbc"
         )
+
+
+def raw_cell_candidates(bounds, cell, max_tame):
+    """Every candidate of a cell, validated, from itertools alone: each
+    multiset of wild records (every t_j <= t) with torsion lengths summing
+    to t, beside each multiset of at most ``max_tame`` tame
+    multiplicities that fits in ``max_fibres``."""
+    p, chi, t, quasi = cell
+    menu = [
+        f
+        for t_j in range(1, t + 1)
+        for _, _, records in _wild_data(p, t_j, bounds.max_mult)
+        for f in records
+    ]
+    for k in range(bounds.max_fibres + 1):
+        for wilds in combinations_with_replacement(menu, k):
+            if sum(f.t for f in wilds) != t:
+                continue
+            for j in range(min(max_tame, bounds.max_fibres - k) + 1):
+                tame_menu = range(2, bounds.max_mult + 1)
+                for ms in combinations_with_replacement(tame_menu, j):
+                    yield FibrationNumericalType(
+                        p=p, g=0, chi=chi, quasi_elliptic=quasi,
+                        fibres=wilds + tuple(FibreDatum.tame(m) for m in ms),
+                    )
+
+
+class TestLeanAdmission:
+    """``_cell_types`` tests only the slope, on integers, and builds only
+    its survivors; the oracle filters independently built raw
+    candidates by ``is_admissible`` and attaches the flag by ``_finalize``."""
+
+    BOUNDS = EnumerationBounds(8, 3, 3, (0, 2, 3))
+
+    def test_cell_types_match_the_admissibility_filter(self):
+        from plurigenera.verifier import _cell_order, _cell_types, _finalize
+
+        cells = _cell_order(self.BOUNDS)
+        kinds = set()
+        for cell in cells:
+            p, chi, t, quasi = cell
+            for cap in (0, 1, self.BOUNDS.max_fibres):
+                expected = sorted(
+                    (
+                        _finalize(ty)
+                        for ty in raw_cell_candidates(self.BOUNDS, cell, cap)
+                        if is_admissible(ty).admissible
+                    ),
+                    key=lambda ty: ty.sort_key,
+                )
+                got = _cell_types(self.BOUNDS, cell, cap)
+                assert got == expected, (cell, cap)
+                # sort_key also reads torsion_length, which equality skips
+                assert [ty.sort_key for ty in got] == [ty.sort_key for ty in expected]
+                kinds.add(
+                    "quasi-elliptic" if quasi
+                    else "tame-walk" if (chi, t) == (0, 0)
+                    else "tame-multisets" if t == 0
+                    else "wild-multisets" if chi >= 1
+                    else "wild-walk"
+                )
+                if t >= 3 and expected:
+                    kinds.add("t>=3")
+                if cap == 0 and t > 0 and expected:
+                    kinds.add("no-free-slot")
+                if any(ty.existence_unknown for ty in expected):
+                    kinds.add("existence-unknown")
+        assert kinds == {
+            "quasi-elliptic", "tame-walk", "tame-multisets", "wild-multisets",
+            "wild-walk", "t>=3", "no-free-slot", "existence-unknown",
+        }
+
+    def test_shape_u_matches_the_gcd_decision(self):
+        from plurigenera.congruence import _all_u
+        from plurigenera.verifier import _shape_u, _wild_combos
+
+        shapes = [
+            shape
+            for p in (2, 3, 5)
+            for t in (1, 2, 3, 4)
+            for shape, _ in _wild_combos(p, t, 4, 30)
+        ]
+        rng = random.Random(5)
+        for _ in range(3000):
+            nus = [rng.randint(1, 12) for _ in range(rng.randint(1, 5))]
+            shapes.append([(nu * rng.randint(1, 6), nu, ()) for nu in nus])
+        shapes = [s for s in shapes if all(m >= 2 for m, _, _ in s)]
+        verdicts = [_shape_u(s) for s in shapes]
+        assert True in verdicts and False in verdicts
+        for shape, verdict in zip(shapes, verdicts):
+            ms, nus = [m for m, _, _ in shape], [nu for _, nu, _ in shape]
+            assert verdict == _all_u(ms, nus), shape
 
 
 def _fake_pool(monkeypatch, cpus):
@@ -1198,6 +1303,20 @@ TINY = EnumerationBounds(4, 2, 1, (0, 2))
         lambda: find_sharp_cases(TINY, ["x"]),
         lambda: verify_tail(T266, "14", 2),
         lambda: plurigenera.SurfaceInvariants("1", 0),
+        # a public call given something other than a type or bounds
+        lambda: is_admissible(None),
+        lambda: verify_main_theorem("x"),
+        lambda: verify_tail(None, 14, 2),
+        lambda: plurigenera.slope(None),
+        lambda: replay_type(None),
+        lambda: verify_all(None),
+        lambda: enumerate_types(None),
+        lambda: find_sharp_cases(None, "p13-equals-1"),
+        lambda: StatementCheck.from_form(QuasiLinearForm(1, 0, ()), "20"),
+        lambda: cell_row("a", 0),
+        lambda: QuasiLinearForm(1, 0, ()).eventually_at_least(1.5, 2),
+        lambda: QuasiLinearForm(1, 0, ()).eventually_at_least("a", 2),
+        lambda: QuasiLinearForm(1, 0, ()).eventually_at_least(1, None),
     ],
 )
 def test_malformed_library_input_raises_invalid_input(call):

@@ -33,6 +33,8 @@ def test_every_work_limit_is_named_in_the_readme():
         "MAX_GROUP_ORDER",
         "MAX_CHARACTERISTIC",
         "MAX_WILD_POWER",
+        "MAX_MULT",
+        "MAX_TAIL_WINDOW",
     }
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     missing = [
