@@ -48,7 +48,8 @@ The material mode lets the companions fill every free slot; the
 certified mode caps them at the row's ``tame_cap``.  A cell that would
 test more than ``MATERIAL_GUARD`` candidates stops the sweep with
 ``UnsupportedInputError``; ``enumerate_types``, ``find_sharp_cases``
-and the material sweep check every cell's multiset estimate first.
+and the material sweep check every cell's multiset estimate first, and
+the certified sweep the closed-form totals of its counted cells.
 
 The certified mode counts the wild cells that their row covers whole
 (no residual: chi + t >= 3) instead of building them
@@ -86,7 +87,7 @@ import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, count, groupby, product
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import attrgetter, itemgetter
 
 from .cases import (
@@ -130,7 +131,7 @@ MATERIAL_GUARD = 5_000_000
 # The largest ``EnumerationBounds.max_mult``.  The condition-U walk and
 # the wild fibre menus loop over every multiplicity up to it, so the work
 # of a cell grows with it before ``MATERIAL_GUARD`` can refuse the cell:
-# at this bound the slowest sweeps measured take about 13 s (README,
+# at this bound the slowest sweeps measured take about 10 s (README,
 # "Work limits"), and no wild fibre's p**e passes
 # ``fibre_local.MAX_WILD_POWER``.
 MAX_MULT = 256
@@ -186,40 +187,58 @@ def _fibre_violations(
     return tuple(violations)
 
 
-def is_admissible(t: FibrationNumericalType) -> AdmissibilityReport:
-    """Apply every model rule and report all named violations.
+# The one report of every admissible type; object identity of reports is
+# not part of the API.
+_ADMISSIBLE = AdmissibilityReport(True, ())
 
-    The local rules of each fibre are memoized per (fibre fields, p, h1
-    flag) in a least-recently-used cache of ``FIBRE_RULE_CACHE_SIZE``
-    entries.  The slope d + sum a_i/m_i is positive iff
-    d*L + sum a_i*(L/m_i) is, with L = lcm(m_i).  Condition U is decided
-    by ``_all_u`` on the fibres' (m, nu), which the fibres have already
-    validated, when every nu divides its m."""
+
+def is_admissible(t: FibrationNumericalType) -> AdmissibilityReport:
+    """Apply every model rule and report all named violations, in one pass
+    over the fibres.
+
+    A tame fibre that keeps its local rules (t = e = 0, nu = m,
+    a = m - 1) has none to report; the local rules of any other fibre
+    are memoized per (fibre fields, p, h1 flag) in a least-recently-used
+    cache of ``FIBRE_RULE_CACHE_SIZE`` entries.  The slope d + sum a_i/m_i
+    is positive iff d*L + sum a_i*(L/m_i) is, with L = lcm(m_i).
+    Condition U is decided by ``_all_u`` on the fibres' (m, nu), which
+    the fibres have already validated, when every nu divides its m; it is
+    not the sweep's ``_shape_u``, so that this stays an oracle
+    independent of the generator.  Every admissible type gets the same
+    shared report."""
     _check_type(t)
-    violations: list[str] = []
-    if t.chi < 0:
-        violations.append("chi-negative")
-    tl = t.torsion_length
-    h1_flag = _h1_at_most_one(t.g, t.chi, tl)
+    g, chi, p, tl = t.g, t.chi, t.p, t.torsion_length
+    violations: list[str] = ["chi-negative"] if chi < 0 else []
+    h1_flag = _h1_at_most_one(g, chi, tl)
+    ms, nus = [], []
+    nu_divides = True
+    # the slope numerator d*L + sum a*(L/m) over the lcm L of the fibres
+    # so far, rescaled whenever a fibre raises L
+    big_l, numerator = 1, 2 * g - 2 + chi + tl  # d = delta_degree(t)
     for f in t.fibres:
-        violations.extend(_fibre_violations(f.m, f.a, f.nu, f.e, f.t, t.p, h1_flag))
-    d = 2 * t.g - 2 + t.chi + tl  # delta_degree(t)
-    big_l = lcm(*(f.m for f in t.fibres))
-    if d * big_l + sum(f.a * (big_l // f.m) for f in t.fibres) <= 0:
+        m, a, nu = f.m, f.a, f.nu
+        ms.append(m)
+        nus.append(nu)
+        if f.t or f.e or nu != m or a != m - 1:
+            violations.extend(_fibre_violations(m, a, nu, f.e, f.t, p, h1_flag))
+            nu_divides = nu_divides and m % nu == 0
+        if big_l % m:
+            scale = m // gcd(big_l, m)
+            big_l *= scale
+            numerator *= scale
+        numerator += a * (big_l // m)
+    if numerator <= 0:
         violations.append("slope-nonpositive")
     if t.quasi_elliptic:
-        if t.p not in (2, 3):
+        if p not in (2, 3):
             violations.append("quasi-elliptic-char")
-        if t.g == 0 and t.chi == 0:
+        if g == 0 and chi == 0:
             violations.append("quasi-elliptic-chi0-base-P1")
-    elif (
-        t.g == 0
-        and t.chi == 0
-        and all(f.m % f.nu == 0 for f in t.fibres)
-        and not _all_u([f.m for f in t.fibres], [f.nu for f in t.fibres])
-    ):
+    elif g == 0 and chi == 0 and nu_divides and not _all_u(ms, nus):
         violations.append("condition-U")
-    return AdmissibilityReport(not violations, tuple(violations))
+    if not violations:
+        return _ADMISSIBLE
+    return AdmissibilityReport(False, tuple(violations))
 
 
 @dataclass(frozen=True, slots=True)
@@ -244,10 +263,29 @@ class MainTheoremReport:
         }
 
 
-def _require_admissible(t: FibrationNumericalType) -> None:
-    report = is_admissible(t)
-    if not report.admissible:
-        raise InadmissibleTypeError(report.violations)
+# The last type ``_admitted`` admitted, with its plurigenus form and its
+# multiplicity lcm.  Types are frozen and this holds a strong reference,
+# so no other object can take the remembered one's id while it is here.
+_last_admitted: tuple = (None, None, 0)
+
+
+def _admitted(t: FibrationNumericalType) -> tuple[QuasiLinearForm, int]:
+    """The ``plurigenus_form`` of an admissible type and the lcm of its
+    multiplicities; raises ``InadmissibleTypeError`` otherwise.  One
+    entry, compared by identity, remembers the last admitted type, so a
+    query that asks ``verify_main_theorem`` and then ``verify_tail`` of
+    one type admits it and builds its form once.  It is not keyed on the
+    value: each query brings its own type, and an equal type built apart
+    is admitted afresh."""
+    global _last_admitted
+    last, form, period = _last_admitted
+    if t is not last:
+        report = is_admissible(t)  # the module global, which a tracer may wrap
+        if not report.admissible:
+            raise InadmissibleTypeError(report.violations)
+        form, period = plurigenus_form(t), lcm(*(f.m for f in t.fibres))
+        _last_admitted = (t, form, period)
+    return form, period
 
 
 def verify_main_theorem(t: FibrationNumericalType) -> MainTheoremReport:
@@ -259,11 +297,8 @@ def verify_main_theorem(t: FibrationNumericalType) -> MainTheoremReport:
     statement (4) is always decided exactly either way.  The series and
     the statements are read from one ``StatementCheck`` of the
     ``plurigenus_form``."""
-    _require_admissible(t)
-    period = lcm(*(f.m for f in t.fibres))
-    check = StatementCheck.from_form(
-        plurigenus_form(t), 14 + 2 * period if period <= 120 else 40
-    )
+    form, period = _admitted(t)
+    check = StatementCheck.from_form(form, 14 + 2 * period if period <= 120 else 40)
     first1, first2 = check.first_ge1, check.first_ge2
     return MainTheoremReport(
         p12=check.p12,
@@ -277,16 +312,19 @@ def verify_main_theorem(t: FibrationNumericalType) -> MainTheoremReport:
 
 
 def verify_tail(t: FibrationNumericalType, threshold: int, target: int) -> bool:
-    """Exactly decide ``P_n >= target for all n >= threshold`` (g = 0)."""
+    """Exactly decide ``P_n >= target for all n >= threshold`` (g = 0).
+    The arguments are checked in order, then the type is admitted as
+    ``verify_main_theorem`` admits it, so a tail query right after a
+    main query of the same type object reuses its admission and form."""
     _check_int("threshold", threshold)
     _check_int("target", target)
     _check_type(t)
     if t.g != 0:
         raise UnsupportedInputError("verify_tail requires a genus-zero base")
-    _require_admissible(t)
+    form, _ = _admitted(t)
     if target <= 0:
         return True
-    return exact_form(t).eventually_at_least(threshold, target)
+    return form.eventually_at_least(threshold, target)
 
 
 # ---------------------------------------------------------------------------
@@ -796,6 +834,27 @@ def _counted(cell) -> bool:
     return t >= 1 and cell_row(chi, t).tame_cap is None
 
 
+def _counted_total(bounds: EnumerationBounds, cell) -> int:
+    """The number of wild combinations of a counted cell, in closed form:
+    the sum, over the partitions of t into runs of k_j fibres of torsion
+    length t_j, of the product of the multiset counts C(N_j + k_j - 1,
+    k_j) of the t_j menus of N_j records.  It is the total that the
+    guard reads (``_count_certified``); raises past ``MATERIAL_GUARD``."""
+    p, _, t, _ = cell
+    menus = {
+        t_j: sum(len(fs) for _, _, fs in _wild_data(p, t_j, bounds.max_mult))
+        for t_j in range(1, t + 1)
+    }
+    parts = [t_j for t_j, size in menus.items() if size]
+    total = sum(
+        prod(comb(menus[t_j] + k - 1, k) for t_j, k in runs)
+        for runs in _torsion_partitions(t, bounds.max_fibres, parts)
+    )
+    if total > MATERIAL_GUARD:
+        raise _refusal(cell, "exceeds")
+    return total
+
+
 def _count_certified(bounds: EnumerationBounds, cell) -> int:
     """The number of admissible types of a counted cell without building
     one: the summed weights of its candidates in ``_cell_candidates``,
@@ -813,28 +872,16 @@ def _count_certified(bounds: EnumerationBounds, cell) -> int:
     P_13 >= 2.
 
     With no tame slot every wild combination adds to the guarded total,
-    so the total is in closed form: the sum, over the partitions of t
-    into runs of k_j fibres of torsion length t_j, of the product of the
-    multiset counts C(N_j + k_j - 1, k_j) of the t_j menus of N_j
-    records.  Where U does not apply that total is the count; where it
-    does, the shapes that pass U (``_shape_u``) add their weights."""
+    so the total is in closed form (``_counted_total``).  Where U does
+    not apply that total is the count; where it does, the shapes that
+    pass U (``_shape_u``) add their weights."""
     p, chi, t, quasi = cell
     row = cell_row(chi, t)
     (cert,) = row.certificates
     bound = cert.bound
     if row.tame_cap is not None or bound.pairs or bound.linear < 0 or bound.value(1) < 2:
         raise AssertionError(f"cell {cell} is not covered whole by P_n >= 2 for n >= 1")
-    menus = {
-        t_j: sum(len(fs) for _, _, fs in _wild_data(p, t_j, bounds.max_mult))
-        for t_j in range(1, t + 1)
-    }
-    parts = [t_j for t_j, size in menus.items() if size]
-    total = sum(
-        prod(comb(menus[t_j] + k - 1, k) for t_j, k in runs)
-        for runs in _torsion_partitions(t, bounds.max_fibres, parts)
-    )
-    if total > MATERIAL_GUARD:
-        raise _refusal(cell, "exceeds")
+    total = _counted_total(bounds, cell)
     if chi != 0 or quasi:
         return total
     return sum(
@@ -945,6 +992,9 @@ def verify_all(
     cells = _cell_order(bounds)
     if materialize_all:
         _check_estimates(bounds, cells)
+    else:
+        for cell in filter(_counted, cells):
+            _counted_total(bounds, cell)  # refuse a cell past the guard up front
     results = _map_cells(_sweep_cell, bounds, cells, jobs, materialize_all, keep_rows)
     top1 = max((res["first1"][0] for res in results), default=0)
     top2 = max((res["first2"][0] for res in results), default=0)

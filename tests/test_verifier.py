@@ -13,6 +13,8 @@ from itertools import combinations_with_replacement
 from math import comb, lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import plurigenera
 from plurigenera import (
@@ -34,9 +36,15 @@ from plurigenera import (
     verify_tail,
 )
 from plurigenera.cases import StatementCheck, cell_row, replay_type
+from plurigenera.congruence import _all_u
 from plurigenera.fibre_local import achievable_torsion_lengths
 from plurigenera.model import FIBRE_RULE_CACHE_SIZE, factorization, plurigenus_form
-from plurigenera.verifier import _fibre_violations, _wild_data
+from plurigenera.verifier import (
+    AdmissibilityReport,
+    _fibre_violations,
+    _h1_at_most_one,
+    _wild_data,
+)
 
 
 def tame(ms, chi=0, g=0, p=0, quasi=False):
@@ -323,6 +331,105 @@ def _single_type_requests(seed, count):
     return requests
 
 
+def _reference_is_admissible(t):
+    """``is_admissible`` rule by rule: every fibre through
+    ``_fibre_violations``, the slope over L = lcm(m), and condition U by
+    ``_all_u`` when every nu divides its m; the reference the one-pass
+    decider is held against."""
+    violations = []
+    if t.chi < 0:
+        violations.append("chi-negative")
+    tl = t.torsion_length
+    h1_flag = _h1_at_most_one(t.g, t.chi, tl)
+    for f in t.fibres:
+        violations.extend(_fibre_violations(f.m, f.a, f.nu, f.e, f.t, t.p, h1_flag))
+    d = 2 * t.g - 2 + t.chi + tl
+    big_l = lcm(*(f.m for f in t.fibres))
+    if d * big_l + sum(f.a * (big_l // f.m) for f in t.fibres) <= 0:
+        violations.append("slope-nonpositive")
+    if t.quasi_elliptic:
+        if t.p not in (2, 3):
+            violations.append("quasi-elliptic-char")
+        if t.g == 0 and t.chi == 0:
+            violations.append("quasi-elliptic-chi0-base-P1")
+    elif (
+        t.g == 0
+        and t.chi == 0
+        and all(f.m % f.nu == 0 for f in t.fibres)
+        and not _all_u([f.m for f in t.fibres], [f.nu for f in t.fibres])
+    ):
+        violations.append("condition-U")
+    return AdmissibilityReport(not violations, tuple(violations))
+
+
+@st.composite
+def _admission_fibres(draw, p):
+    """A tame fibre; one with t = 0 that breaks a tame rule (a != m - 1,
+    nu != m or e != 0); a wild one with m = nu * q**e (q = p, or 2 in
+    characteristic 0; e = 0 allowed); or any validated fields (nu need
+    not divide m)."""
+    kind = draw(st.sampled_from(("tame", "tame-broken", "wild", "any")))
+    if kind == "tame":
+        return FibreDatum.tame(draw(st.integers(2, 30)))
+    if kind == "tame-broken":
+        m = draw(st.integers(2, 30))
+        a, nu, e = m - 1, m, 0
+        broken = draw(st.sampled_from(("a", "nu", "e")))
+        if broken == "a":
+            a = draw(st.integers(0, m - 2))
+        elif broken == "nu":
+            nu = draw(st.sampled_from((1, max(1, m // 2), 2 * m)))
+        else:
+            e = draw(st.integers(1, 3))
+        return FibreDatum(m=m, a=a, nu=nu, e=e, t=0)
+    if kind == "wild":
+        nu, e = draw(st.integers(1, 6)), draw(st.integers(0, 3))
+        m = max(2, nu * (p or 2) ** e)
+        a = draw(st.sampled_from((m - 1, max(0, m - 1 - nu), m // 2)))
+        return FibreDatum(m=m, a=a, nu=nu, e=e, t=draw(st.integers(1, 3)))
+    m = draw(st.integers(2, 40))
+    return FibreDatum(
+        m=m,
+        a=draw(st.integers(0, m - 1)),
+        nu=draw(st.integers(1, 12)),
+        e=draw(st.integers(0, 3)),
+        t=draw(st.integers(0, 3)),
+    )
+
+
+@st.composite
+def _admission_types(draw):
+    """Validated types of every kind ``is_admissible`` reads: g = 0 and
+    chi = 0 (condition U) drawn often, g >= 1, chi < 0, quasi-elliptic in
+    any characteristic, and r = 0."""
+    p = draw(st.sampled_from((0, 2, 3, 5, 7)))
+    return FibrationNumericalType(
+        p=p,
+        g=draw(st.sampled_from((0, 0, 0, 1, 2))),
+        chi=draw(st.sampled_from((0, 0, 0, 1, 2, 3, -1, -2))),
+        quasi_elliptic=draw(st.sampled_from((False, False, True))),
+        fibres=tuple(draw(st.lists(_admission_fibres(p), max_size=6))),
+    )
+
+
+class TestOnePassAdmission:
+    """``is_admissible`` equals the rule-by-rule reference: the same
+    report, with the violations in the same order."""
+
+    def test_matches_the_reference_on_single_type_requests(self):
+        for t in _single_type_requests(20170, 2000):
+            assert is_admissible(t) == _reference_is_admissible(t), t
+
+    @settings(max_examples=400, deadline=None)
+    @given(_admission_types())
+    # condition U is skipped when a nu does not divide its m; a = 6 is
+    # allowed for this t_j = 2 fibre only while the h^1 flag is off
+    @example(wild_type(0, FibreDatum(m=6, a=5, nu=4, e=0, t=0), FibreDatum.tame(3)))
+    @example(wild_type(-1, FibreDatum(m=9, a=6, nu=1, e=2, t=2), p=3))
+    def test_matches_the_reference(self, t):
+        assert is_admissible(t) == _reference_is_admissible(t)
+
+
 class TestSingleTypeQueries:
     """``verify_main_theorem``, ``verify_tail`` and the violations they
     raise on 2,000 seeded requests, pinned by digest like the sweeps of
@@ -361,6 +468,71 @@ class TestSingleTypeQueries:
             else:
                 const, linear = 0, 0
             assert plurigenus_form(t) == QuasiLinearForm(const, linear, pairs), t
+
+
+class TestAdmittedQueries:
+    """``verify_main_theorem`` and ``verify_tail`` share one admission and
+    one plurigenus form per type object, remembered for the last type."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from plurigenera import verifier
+
+        calls = {"is_admissible": 0, "plurigenus_form": 0}
+
+        def counting(name):
+            original = getattr(verifier, name)
+
+            def call(t):
+                calls[name] += 1
+                return original(t)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(verifier, name, counting(name))
+        return calls
+
+    def test_tail_after_main_admits_once(self, calls):
+        t = tame((2, 6, 6))
+        assert verify_main_theorem(t).stmt4
+        assert verify_tail(t, 14, 2) is True
+        assert verify_tail(t, 13, 2) is False
+        assert calls == {"is_admissible": 1, "plurigenus_form": 1}
+
+    def test_equal_but_distinct_type_is_admitted_afresh(self, calls):
+        first, second = tame((2, 6, 6)), tame((2, 6, 6))
+        assert first == second and first is not second
+        verify_main_theorem(first)
+        assert verify_tail(second, 14, 2) is True
+        assert calls == {"is_admissible": 2, "plurigenus_form": 2}
+
+    def test_inadmissible_type_raises_the_same_violations_from_both(self, calls):
+        t = tame((2, 3, 7))
+        with pytest.raises(InadmissibleTypeError) as main:
+            verify_main_theorem(t)
+        with pytest.raises(InadmissibleTypeError) as tail:
+            verify_tail(t, 14, 2)
+        assert main.value.violations == tail.value.violations == ("condition-U",)
+        assert calls == {"is_admissible": 2, "plurigenus_form": 0}
+
+    def test_argument_errors_after_a_remembered_type(self):
+        t = tame((2, 6, 6))
+        verify_main_theorem(t)
+        assert verify_tail(t, 14, 2) is True
+        with pytest.raises(InvalidInputError, match="threshold"):
+            verify_tail(t, "14", 2)
+        with pytest.raises(InvalidInputError, match="target"):
+            verify_tail(t, 14, 2.0)
+        with pytest.raises(InvalidInputError):
+            verify_tail(t.to_dict(), 14, 2)
+        genus_one = tame((2, 3), g=1)
+        verify_main_theorem(genus_one)
+        with pytest.raises(InvalidInputError, match="threshold"):
+            verify_tail(genus_one, None, 2)
+        with pytest.raises(UnsupportedInputError, match="genus-zero"):
+            verify_tail(genus_one, 14, 2)
+        assert verify_tail(t, 14, 2) is True
 
 
 CASE4_SMALL = EnumerationBounds(
@@ -1025,6 +1197,20 @@ class TestCountedCells:
         result = _sweep_cell(bounds, cell, False)
         assert result["counted"]
         assert result["materialized"] == len(verifier._cell_types(bounds, cell, 0))
+
+    @pytest.mark.parametrize("keep_rows", [False, True])
+    def test_counted_cell_past_the_guard_is_refused_before_any_cell_runs(
+        self, keep_rows, monkeypatch
+    ):
+        from plurigenera import verifier
+
+        def no_cell(*args):
+            raise AssertionError("a cell ran before the counted cells were checked")
+
+        monkeypatch.setattr(verifier, "_sweep_cell", no_cell)
+        bounds = EnumerationBounds(max_mult=verifier.MAX_MULT)
+        with pytest.raises(UnsupportedInputError, match=re.escape("(2, 0, 4, False)")):
+            verify_all(bounds, keep_rows=keep_rows)
 
     def test_certified_matches_material_up_to_chi_plus_t_4(self):
         bounds = EnumerationBounds(8, 3, 4, (2, 3))
