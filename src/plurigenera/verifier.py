@@ -266,7 +266,11 @@ class MainTheoremReport:
 # The last type ``_admitted`` admitted, with its plurigenus form and its
 # multiplicity lcm.  Types are frozen and this holds a strong reference,
 # so no other object can take the remembered one's id while it is here.
-_last_admitted: tuple = (None, None, 0)
+# Until a type is admitted it holds a private marker that no caller can
+# pass, so every other argument goes through ``is_admissible`` and its
+# type check.
+_NOTHING_ADMITTED = (object(), None, 0)
+_last_admitted: tuple = _NOTHING_ADMITTED
 
 
 def _admitted(t: FibrationNumericalType) -> tuple[QuasiLinearForm, int]:

@@ -534,6 +534,21 @@ class TestAdmittedQueries:
             verify_tail(genus_one, 14, 2)
         assert verify_tail(t, 14, 2) is True
 
+    @pytest.mark.parametrize("remembered", [False, True])
+    @pytest.mark.parametrize("bad", [None, "x", 0, (0, 0, 0, False, ())])
+    def test_non_type_is_refused_whatever_was_admitted_before(
+        self, monkeypatch, remembered, bad
+    ):
+        from plurigenera import verifier
+
+        monkeypatch.setattr(verifier, "_last_admitted", verifier._NOTHING_ADMITTED)
+        if remembered:
+            verify_main_theorem(tame((2, 6, 6)))
+        with pytest.raises(InvalidInputError):
+            verify_main_theorem(bad)
+        with pytest.raises(InvalidInputError):
+            verify_tail(bad, 14, 2)
+
 
 CASE4_SMALL = EnumerationBounds(
     max_mult=7, max_fibres=3, max_chi_plus_t=0,
@@ -1492,6 +1507,7 @@ TINY = EnumerationBounds(4, 2, 1, (0, 2))
         # a public call given something other than a type or bounds
         lambda: is_admissible(None),
         lambda: verify_main_theorem("x"),
+        lambda: verify_main_theorem(None),
         lambda: verify_tail(None, 14, 2),
         lambda: plurigenera.slope(None),
         lambda: replay_type(None),
@@ -1505,7 +1521,11 @@ TINY = EnumerationBounds(4, 2, 1, (0, 2))
         lambda: QuasiLinearForm(1, 0, ()).eventually_at_least(1, None),
     ],
 )
-def test_malformed_library_input_raises_invalid_input(call):
+def test_malformed_library_input_raises_invalid_input(call, monkeypatch):
+    from plurigenera import verifier
+
+    # as in a fresh process: no type admitted yet
+    monkeypatch.setattr(verifier, "_last_admitted", verifier._NOTHING_ADMITTED)
     with pytest.raises(InvalidInputError):
         call()
 
