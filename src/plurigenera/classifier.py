@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidInputError, _check_int
+from .errors import InvalidInputError, _check_bool, _check_int
 from .model import validate_characteristic
 
 KOD_CLASSES = ("I", "II", "III", "IV")
@@ -34,8 +34,7 @@ class SurfaceInvariants:
             _check_int(name, getattr(self, name))
         if self.canonical_torsion is not None:
             _check_int("canonical_torsion", self.canonical_torsion)
-        if type(self.minimal) is not bool:
-            raise InvalidInputError("minimal must be a boolean")
+        _check_bool("minimal", self.minimal)
         if self.p12 < 0 or self.pg < 0 or self.q < 0:
             raise InvalidInputError("p12, pg, q must be nonnegative")
         validate_characteristic(self.p)

@@ -52,6 +52,12 @@ def _check_int(name: str, value, minimum=None, maximum=None) -> int:
     return value
 
 
+def _check_bool(name: str, value) -> None:
+    """``InvalidInputError`` unless ``value`` is a bool: no truthy stand-in."""
+    if not isinstance(value, bool):
+        raise InvalidInputError(f"{name} must be a boolean")
+
+
 def _check_tuple(name: str, values) -> tuple:
     """``tuple(values)``, or ``InvalidInputError`` if it is not iterable."""
     try:

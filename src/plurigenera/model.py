@@ -36,6 +36,7 @@ from .congruence import QuasiLinearForm
 from .errors import (
     InvalidInputError,
     UnsupportedInputError,
+    _check_bool,
     _check_int,
     _check_tuple,
     _int_text,
@@ -195,10 +196,8 @@ class FibrationNumericalType:
         validate_characteristic(self.p)
         _check_int("g", self.g, 0)
         _check_int("chi", self.chi)  # negative chi is a reported violation
-        if not isinstance(self.quasi_elliptic, bool):
-            raise InvalidInputError("quasi_elliptic must be a boolean")
-        if not isinstance(self.existence_unknown, bool):
-            raise InvalidInputError("existence_unknown must be a boolean")
+        _check_bool("quasi_elliptic", self.quasi_elliptic)
+        _check_bool("existence_unknown", self.existence_unknown)
         fibres = _check_tuple("fibres", self.fibres)
         for f in fibres:
             if not isinstance(f, FibreDatum):

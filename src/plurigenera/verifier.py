@@ -37,13 +37,15 @@ beside a companion, and decides each on integers.  Every rule of
 ``_wild_data`` menus are built by the local rules (``_count_certified``
 sets out why the h^1 flag does not matter), tame fibres are the shared
 ``FibreDatum.tame`` instances, the walk and ``_shape_u`` decide
-condition U, and ``_cell_order`` gives each cell chi >= 0 and the
-quasi-elliptic rules.  So only the slope d*L + sum a*(L/m) > 0 is
-tested, on plain integers; the existence flag is read from the shape's
-torsion lengths, and the survivors are sorted on integer keys before
-any is built.  ``is_admissible`` stays the public decider and the
-oracle: a test holds ``_cell_types`` against ``is_admissible``
-filtering of candidates built independently.
+condition U on one criterion (``_u_fold``: bit masks over the prime
+powers that the fibres need and that one, or two, of them cover; U
+holds when every need is covered twice), and ``_cell_order`` gives each
+cell chi >= 0 and the quasi-elliptic rules.  So only the slope
+d*L + sum a*(L/m) > 0 is tested, on plain integers; the existence flag
+is read from the shape's torsion lengths, and the survivors are sorted
+on integer keys before any is built.  ``is_admissible`` stays the
+public decider and the oracle: a test holds ``_cell_types`` against
+``is_admissible`` filtering of candidates built independently.
 The material mode lets the companions fill every free slot; the
 certified mode caps them at the row's ``tame_cap``.  A cell that would
 test more than ``MATERIAL_GUARD`` candidates stops the sweep with
@@ -105,6 +107,7 @@ from .errors import (
     InadmissibleTypeError,
     InvalidInputError,
     UnsupportedInputError,
+    _check_bool,
     _check_int,
     _check_tuple,
     _int_text,
@@ -131,7 +134,7 @@ MATERIAL_GUARD = 5_000_000
 # The largest ``EnumerationBounds.max_mult``.  The condition-U walk and
 # the wild fibre menus loop over every multiplicity up to it, so the work
 # of a cell grows with it before ``MATERIAL_GUARD`` can refuse the cell:
-# at this bound the slowest sweeps measured take about 10 s (README,
+# at this bound the slowest sweeps measured take about 8 s (README,
 # "Work limits"), and no wild fibre's p**e passes
 # ``fibre_local.MAX_WILD_POWER``.
 MAX_MULT = 256
@@ -352,9 +355,8 @@ class EnumerationBounds:
             )
         _check_int("max_fibres", self.max_fibres, 1)
         _check_int("max_chi_plus_t", self.max_chi_plus_t, 0)
-        for flag in ("include_wild", "include_quasi_elliptic"):
-            if not isinstance(getattr(self, flag), bool):
-                raise InvalidInputError(f"{flag} must be a boolean")
+        _check_bool("include_wild", self.include_wild)
+        _check_bool("include_quasi_elliptic", self.include_quasi_elliptic)
         given = _check_tuple("characteristics", self.characteristics)
         ps = sorted({validate_characteristic(p) for p in given})
         object.__setattr__(self, "characteristics", tuple(ps))
@@ -475,111 +477,66 @@ def _u_masks(m: int, nu: int) -> tuple[int, int]:
     return needs, covers
 
 
-def _shape_u(shape) -> bool:
-    """Condition U for the fibres of a wild shape and no others.  By the
-    criterion of ``_covered_companions`` a need q^v of one fibre must
-    divide the m of another: so every need bit is covered twice."""
+def _u_fold(pairs) -> tuple[int, int, int]:
+    """Fibres, given by their (m, nu) pairs, folded into the condition-U
+    masks (needs, once, twice): the needs of every fibre, and the prime
+    powers that one fibre, or at least two, cover.  U_i holds when the
+    q-valuation of m_i is matched by another fibre for every prime q | nu_i,
+    so U holds for the folded fibres and no others when ``needs & ~twice``
+    is 0: a need q^v of one fibre must divide the m of another, and it
+    covers q^v itself."""
     needs = once = twice = 0
-    for m, nu, _ in shape:
+    for m, nu in pairs:
         need, cover = _u_masks(m, nu)
         needs |= need
         twice |= once & cover
         once |= cover
+    return needs, once, twice
+
+
+def _shape_u(shape) -> bool:
+    """Condition U for the fibres of a wild shape and no others."""
+    needs, _, twice = _u_fold((m, nu) for m, nu, _ in shape)
     return not needs & ~twice
 
 
 def _covered_companions(max_mult: int, max_size: int, wilds):
     """Tame companion multisets compatible with condition U (streamed),
-    beside wild fibres given by their (m, nu) pairs.
+    beside wild fibres given by their (m, nu) pairs, each ascending, and
+    all sorted by their values read from the largest down (``c[::-1]``).
 
-    Condition U_i is equivalent to: for every prime p dividing nu_i, the
-    p-valuation of m_i is matched by some other fibre.  Tame fibres have
-    nu = m, so each of their prime peaks must be matched; wild fibres
-    only constrain the primes of their nu.  The walk places values in
-    descending order, so an unmatched peak p^b prunes the branch as soon
-    as the position drops below p^b.
+    The walk places values in descending order, folding each into the
+    ``_u_fold`` masks that it carries down, so backtracking undoes
+    nothing; a tame fibre has nu = m, and k copies of one value fold it k
+    times.  A multiset is yielded when no need is due (``needs & ~twice``
+    is 0).  Only a value >= q^v can cover a due q^v, and the bit index of
+    q^v is q^v itself, so the largest due bit is the branch's deadline:
+    values below it are never tried.
     """
-    wild_vals: dict[int, list[int]] = {}
-    for m, _ in wilds:
-        for q, al in factorization(m):
-            wild_vals.setdefault(q, []).append(al)
-    wild_cover = {q: max(vals) for q, vals in wild_vals.items()}
-    req: dict[int, int] = {}
-    for m, nu in wilds:
-        mv = dict(factorization(m))
-        for q, _ in factorization(nu):
-            v = mv[q]
-            others = list(wild_vals[q])
-            others.remove(v)
-            if not others or max(others) < v:
-                req[q] = max(req.get(q, 0), v)
-    for q, b in req.items():
-        if q**b > max_mult:
-            return  # no tame value can match the wild peak
 
-    facts = [()] + [factorization(u) for u in range(1, max_mult + 1)]
-    # the top two valuations (b, second) placed so far of each prime that
-    # divides a placed value; a prime leaves when its last value does
-    top: dict[int, tuple[int, int]] = {}
-    # q^b for each prime q with an unmatched tame peak or an unmet wild
-    # requirement b: only a value >= q^b can still match it
-    due = {q: q**b for q, b in req.items()}
-    placed: list[int] = []
-
-    def walk(v: int, slots: int):
-        # Skipping a value leaves the state unchanged, so the walk skips
-        # straight to the lowest value it may still place: one below the
-        # deadline (the largest due value), below which the branch is
-        # dead, or 1.  It recurses once per placed value (at most
-        # max_size deep), and the candidates come out in the order of the
-        # one-value-per-step walk.
-        d = max(due.values(), default=0)
-        low = min(v, max(1, d - 1))
-        if low == 1 and d == 0:
-            yield tuple(reversed(placed))  # placed descends
+    def walk(v: int, slots: int, needs: int, once: int, twice: int, placed):
+        due = needs & ~twice
+        if not due:
+            yield placed
         if slots == 0:
             return
-        # a last value clears each due q^b only if q^b divides it, so it
-        # steps through the multiples of their lcm (1 when none is due)
-        step = lcm(*due.values()) if slots == 1 else 1
-        for u in range(-(-(low + 1) // step) * step, v + 1, step):
-            fu = facts[u]
-            snapshot = [(q, top.get(q), due.get(q)) for q, _ in fu]
-            for k in range(1, slots + 1):
-                for q, al in fu:
-                    b, second = top.get(q, (0, 0))
-                    if k >= 2 and al >= b:
-                        b, second = al, al
-                    elif al > b:
-                        b, second = al, b
-                    else:
-                        second = max(second, al)
-                    top[q] = (b, second)
-                    peak = q**b if second < b and wild_cover.get(q, 0) < b else 0
-                    need = req.get(q, 0)
-                    if b < need:
-                        peak = max(peak, q**need)
-                    if peak:
-                        due[q] = peak
-                    else:
-                        due.pop(q, None)
-                placed.append(u)
-                if k < slots:
-                    yield from walk(u - 1, slots - k)
-                elif not due:  # a full leaf: walk(u - 1, 0) would yield it alone
-                    yield tuple(reversed(placed))
-            del placed[len(placed) - slots :]
-            for q, state, was_due in snapshot:
-                if state is None:
-                    del top[q]
-                else:
-                    top[q] = state
-                if was_due is None:
-                    due.pop(q, None)
-                else:
-                    due[q] = was_due
+        # skipping a value leaves the masks unchanged, so the walk starts
+        # at the deadline (2 when nothing is due); a last value clears
+        # each due q^v only if q^v divides it, so it steps through the
+        # multiples of their lcm
+        low = max(2, due.bit_length() - 1)
+        step = 1
+        while slots == 1 and due:
+            q_v = due.bit_length() - 1
+            step, due = lcm(step, q_v), due ^ 1 << q_v
+        for u in range(-(-low // step) * step, v + 1, step):
+            need, cover = _u_masks(u, u)
+            n, o, w, comp = needs, once, twice, placed
+            for k in range(slots, 0, -1):  # the fold of ``_u_fold``, inlined
+                n, o, w, comp = n | need, o | cover, w | o & cover, (u,) + comp
+                yield from walk(u - 1, k - 1, n, o, w, comp)
 
-    yield from walk(max_mult, max_size)
+    yield from walk(max_mult, max_size, *_u_fold(wilds), ())
 
 
 def _cell_order(bounds: EnumerationBounds):
@@ -994,6 +951,8 @@ def verify_all(
     is identical for any ``jobs`` value: cells are independent work
     units, merged in canonical cell order."""
     cells = _cell_order(bounds)
+    _check_bool("materialize_all", materialize_all)
+    _check_bool("keep_rows", keep_rows)
     if materialize_all:
         _check_estimates(bounds, cells)
     else:

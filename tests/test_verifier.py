@@ -43,6 +43,7 @@ from plurigenera.verifier import (
     AdmissibilityReport,
     _fibre_violations,
     _h1_at_most_one,
+    _u_masks,
     _wild_data,
 )
 
@@ -188,8 +189,13 @@ class TestInputCaches:
             fibre = FibreDatum.wild_fibre(p=2, nu=nu, e=1, t=1, a=nu - 1)
             is_admissible(wild_type(1, fibre))
             factorization(nu)
+            _u_masks(nu, nu)
         for cache in (
-            factorization, achievable_torsion_lengths, _wild_data, _fibre_violations
+            factorization,
+            achievable_torsion_lengths,
+            _wild_data,
+            _fibre_violations,
+            _u_masks,
         ):
             info = cache.cache_info()
             assert info.maxsize == FIBRE_RULE_CACHE_SIZE
@@ -830,6 +836,41 @@ class TestEnumeration:
         assert digest == (
             "9ffe3f6a0526fed16680ee441a0e3cd548996c6ba6da2f914ac539c500487fbc"
         )
+
+    def test_condition_u_walk_matches_its_order_and_set_oracle(self):
+        # beside wild fibres drawn from the menus, the walk yields exactly
+        # the multisets that pass the gcd decider, sorted by their values
+        # read from the largest down; max_mult past 9 reaches the stepped
+        # last slot beside a wild need
+        from plurigenera.verifier import _covered_companions
+
+        rng = random.Random(20)
+        total = 0
+        for _ in range(150):
+            max_mult, size = rng.randint(6, 40), rng.randint(0, 3)
+            menu = [
+                (m, nu)
+                for p in (2, 3, 5)
+                for t_j in (1, 2)
+                for m, nu, _ in _wild_data(p, t_j, max_mult)
+            ]
+            wilds = rng.sample(menu, rng.randint(0, min(2, len(menu))))
+            expected = sorted(
+                (
+                    comp
+                    for k in range(size + 1)
+                    for comp in combinations_with_replacement(range(2, max_mult + 1), k)
+                    if _all_u(
+                        [m for m, _ in wilds] + list(comp),
+                        [nu for _, nu in wilds] + list(comp),
+                    )
+                ),
+                key=lambda comp: comp[::-1],
+            )
+            got = list(_covered_companions(max_mult, size, wilds))
+            assert got == expected, (max_mult, size, wilds)
+            total += len(got)
+        assert total > 1000
 
 
 def raw_cell_candidates(bounds, cell, max_tame):
@@ -1500,6 +1541,8 @@ TINY = EnumerationBounds(4, 2, 1, (0, 2))
         lambda: EnumerationBounds(characteristics=5),
         lambda: EnumerationBounds(include_wild="no"),
         lambda: verify_all(TINY, jobs="2"),
+        lambda: verify_all(TINY, materialize_all="no"),
+        lambda: verify_all(TINY, keep_rows=1),
         lambda: enumerate_types(TINY, jobs=1.5),
         lambda: find_sharp_cases(TINY, ["x"]),
         lambda: verify_tail(T266, "14", 2),
