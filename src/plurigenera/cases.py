@@ -66,8 +66,9 @@ class StatementCheck:
     reading P_n = max(0, F(n)): the series P_0 .. P_upto from one pass
     (upto >= 14), the least n <= 14 with P_n >= 1 and with P_n >= 2
     (``None`` past 14), and whether P_n >= 2 for every n >= 14 (decided
-    exactly).  On an exact form these are the statements themselves; on
-    a lower bound they are sufficient conditions."""
+    exactly, by P_14 alone when linear >= 0).  On an exact form these are
+    the statements themselves; on a lower bound they are sufficient
+    conditions."""
 
     series: tuple[int, ...]
     first_ge1: int | None
@@ -87,6 +88,8 @@ class StatementCheck:
                 if series[n] >= 2:
                     first2 = n
                     break
+        if form.linear >= 0:  # the form cannot fall, so P_14 decides
+            return cls(series, first1, first2, series[14] >= 2)
         return cls(series, first1, first2, form.eventually_at_least(14, 2))
 
     @property

@@ -213,15 +213,12 @@ def is_admissible(t: FibrationNumericalType) -> AdmissibilityReport:
     g, chi, p, tl = t.g, t.chi, t.p, t.torsion_length
     violations: list[str] = ["chi-negative"] if chi < 0 else []
     h1_flag = _h1_at_most_one(g, chi, tl)
-    ms, nus = [], []
     nu_divides = True
     # the slope numerator d*L + sum a*(L/m) over the lcm L of the fibres
     # so far, rescaled whenever a fibre raises L
     big_l, numerator = 1, 2 * g - 2 + chi + tl  # d = delta_degree(t)
     for f in t.fibres:
         m, a, nu = f.m, f.a, f.nu
-        ms.append(m)
-        nus.append(nu)
         if f.t or f.e or nu != m or a != m - 1:
             violations.extend(_fibre_violations(m, a, nu, f.e, f.t, p, h1_flag))
             nu_divides = nu_divides and m % nu == 0
@@ -237,8 +234,9 @@ def is_admissible(t: FibrationNumericalType) -> AdmissibilityReport:
             violations.append("quasi-elliptic-char")
         if g == 0 and chi == 0:
             violations.append("quasi-elliptic-chi0-base-P1")
-    elif g == 0 and chi == 0 and nu_divides and not _all_u(ms, nus):
-        violations.append("condition-U")
+    elif g == 0 and chi == 0 and nu_divides:
+        if not _all_u([f.m for f in t.fibres], [f.nu for f in t.fibres]):
+            violations.append("condition-U")
     if not violations:
         return _ADMISSIBLE
     return AdmissibilityReport(False, tuple(violations))
@@ -266,33 +264,45 @@ class MainTheoremReport:
         }
 
 
-# The last type ``_admitted`` admitted, with its plurigenus form and its
-# multiplicity lcm.  Types are frozen and this holds a strong reference,
-# so no other object can take the remembered one's id while it is here.
-# Until a type is admitted it holds a private marker that no caller can
-# pass, so every other argument goes through ``is_admissible`` and its
-# type check.
-_NOTHING_ADMITTED = (object(), None, 0)
-_last_admitted: tuple = _NOTHING_ADMITTED
+# [type, form, lcm, check]: the last type admitted, its plurigenus form,
+# multiplicity lcm and (once read) ``StatementCheck``, changed in place.
+# Holding the frozen type keeps its id from being reused; until a type
+# is admitted, the type slot holds a marker that no caller can pass.
+_NOTHING_ADMITTED = (object(), None, 0, None)
+_last_admitted = list(_NOTHING_ADMITTED)
 
 
-def _admitted(t: FibrationNumericalType) -> tuple[QuasiLinearForm, int]:
-    """The ``plurigenus_form`` of an admissible type and the lcm of its
-    multiplicities; raises ``InadmissibleTypeError`` otherwise.  One
-    entry, compared by identity, remembers the last admitted type, so a
-    query that asks ``verify_main_theorem`` and then ``verify_tail`` of
-    one type admits it and builds its form once.  It is not keyed on the
-    value: each query brings its own type, and an equal type built apart
-    is admitted afresh."""
-    global _last_admitted
-    last, form, period = _last_admitted
-    if t is not last:
+def _admitted(t: FibrationNumericalType) -> list:
+    """``_last_admitted`` once it holds ``t``, or ``InadmissibleTypeError``.
+    Compared by identity: a main and a tail query of one type object admit
+    it and build its form once; an equal type built apart is admitted anew."""
+    memo = _last_admitted
+    if t is not memo[0]:
         report = is_admissible(t)  # the module global, which a tracer may wrap
         if not report.admissible:
             raise InadmissibleTypeError(report.violations)
-        form, period = plurigenus_form(t), lcm(*(f.m for f in t.fibres))
-        _last_admitted = (t, form, period)
-    return form, period
+        memo[:] = t, plurigenus_form(t), lcm(*(f.m for f in t.fibres)), None
+    return memo
+
+
+@lru_cache(maxsize=FIBRE_RULE_CACHE_SIZE)
+def _kept_check(const: int, linear: int, pairs: tuple, upto: int) -> StatementCheck:
+    form = QuasiLinearForm._trusted(const, linear, pairs)
+    return StatementCheck.from_form(form, upto)
+
+
+def _statement_check(form: QuasiLinearForm, upto: int) -> StatementCheck:
+    """``StatementCheck.from_form`` of an admitted type's form, memoized on
+    the form's fields (hashed in C; no form object is kept) when every
+    integer of the entry fits in 63 bits: with pairs 0 <= a < m by
+    ascending m, each P_n is at most |const| + n*(|linear| + #pairs)."""
+    if type(upto) is not int or upto < 14:
+        _check_int("upto", upto, 14)
+    pairs = form.pairs
+    top = abs(form.const) + upto * (abs(form.linear) + len(pairs))
+    if (top | (pairs[-1][1] if pairs else 0)) >> 63:
+        return StatementCheck.from_form(form, upto)
+    return _kept_check(form.const, form.linear, pairs, upto)
 
 
 def verify_main_theorem(t: FibrationNumericalType) -> MainTheoremReport:
@@ -303,9 +313,12 @@ def verify_main_theorem(t: FibrationNumericalType) -> MainTheoremReport:
     lcm is small enough to print (<= 120), and P_0 .. P_40 otherwise;
     statement (4) is always decided exactly either way.  The series and
     the statements are read from one ``StatementCheck`` of the
-    ``plurigenus_form``."""
-    form, period = _admitted(t)
-    check = StatementCheck.from_form(form, 14 + 2 * period if period <= 120 else 40)
+    ``plurigenus_form``, shared by every type with that form."""
+    memo = _admitted(t)
+    _, form, period, check = memo
+    if check is None:
+        upto = 14 + 2 * period if period <= 120 else 40
+        check = memo[3] = _statement_check(form, upto)
     first1, first2 = check.first_ge1, check.first_ge2
     return MainTheoremReport(
         p12=check.p12,
@@ -321,16 +334,18 @@ def verify_main_theorem(t: FibrationNumericalType) -> MainTheoremReport:
 def verify_tail(t: FibrationNumericalType, threshold: int, target: int) -> bool:
     """Exactly decide ``P_n >= target for all n >= threshold`` (g = 0).
     The arguments are checked in order, then the type is admitted as
-    ``verify_main_theorem`` admits it, so a tail query right after a
-    main query of the same type object reuses its admission and form."""
+    ``verify_main_theorem`` admits it; right after a main query of the
+    same type object it reuses that admission, form and statement (4)."""
     _check_int("threshold", threshold)
     _check_int("target", target)
     _check_type(t)
     if t.g != 0:
         raise UnsupportedInputError("verify_tail requires a genus-zero base")
-    form, _ = _admitted(t)
+    _, form, _, check = _admitted(t)
     if target <= 0:
         return True
+    if check is not None and threshold == 14 and target == 2:
+        return check.tail
     return form.eventually_at_least(threshold, target)
 
 
@@ -572,15 +587,6 @@ def _existence_unknown(chi: int, g: int, r: int, wild_ts) -> bool:
     return any(t_j >= 3 for t_j in wild_ts) or (
         chi == 0 and g == 0 and r == 1 and list(wild_ts) == [2]
     )
-
-
-def _finalize(t: FibrationNumericalType) -> FibrationNumericalType:
-    """``t`` with the existence-doubt flag attached where it is due: the
-    type-level form of ``_existence_unknown``, the reference the tests
-    hold ``_cell_types`` against."""
-    if _existence_unknown(t.chi, t.g, t.r, [f.t for f in t.fibres if f.t]):
-        return replace(t, existence_unknown=True)
-    return t
 
 
 def _refusal(cell, reason: str) -> UnsupportedInputError:

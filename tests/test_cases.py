@@ -177,6 +177,23 @@ class TestStatementCheck:
     def test_matches_a_per_n_scan(self, form, upto):
         self._assert_matches_scan(form, upto)
 
+    @settings(max_examples=300)
+    @given(
+        st.integers(-40, 40),
+        st.integers(0, 3),
+        st.lists(st.tuples(st.integers(0, 40), st.integers(1, 16)), max_size=4),
+        st.integers(14, 40),
+    )
+    @example(1, 0, [(1, 2), (5, 6), (5, 6)], 14)  # (2, 6, 6) with linear 0
+    @example(-12, 1, [], 14)  # P_14 = 2 exactly
+    @example(-13, 1, [], 14)
+    def test_tail_of_a_rising_form_is_read_at_14(self, const, linear, pairs, upto):
+        # with linear >= 0 the form cannot fall: the check decides
+        # statement (4) by P_14, and must agree with eventually_at_least
+        form = QuasiLinearForm(const, linear, tuple(pairs))
+        check = StatementCheck.from_form(form, upto)
+        assert check.tail is form.eventually_at_least(14, 2)
+
     def test_certificate_bounds_match_a_per_n_scan(self):
         for chi in range(0, 6):
             for t in range(0, 6 - chi):

@@ -6,6 +6,7 @@ import pickle
 import pkgutil
 import random
 import re
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -41,11 +42,23 @@ from plurigenera.fibre_local import achievable_torsion_lengths
 from plurigenera.model import FIBRE_RULE_CACHE_SIZE, factorization, plurigenus_form
 from plurigenera.verifier import (
     AdmissibilityReport,
+    _existence_unknown,
     _fibre_violations,
     _h1_at_most_one,
+    _kept_check,
+    _statement_check,
     _u_masks,
     _wild_data,
 )
+
+
+def _finalize(t: FibrationNumericalType) -> FibrationNumericalType:
+    """``t`` with the existence-doubt flag attached where it is due: the
+    type-level form of ``verifier._existence_unknown``, the reference the
+    tests hold ``_cell_types`` against."""
+    if _existence_unknown(t.chi, t.g, t.r, [f.t for f in t.fibres if f.t]):
+        return replace(t, existence_unknown=True)
+    return t
 
 
 def tame(ms, chi=0, g=0, p=0, quasi=False):
@@ -190,12 +203,16 @@ class TestInputCaches:
             is_admissible(wild_type(1, fibre))
             factorization(nu)
             _u_masks(nu, nu)
+        # and as many distinct plurigenus forms, one per chi
+        for chi in range(1, FIBRE_RULE_CACHE_SIZE + 100):
+            verify_main_theorem(tame((2, 3), chi=chi))
         for cache in (
             factorization,
             achievable_torsion_lengths,
             _wild_data,
             _fibre_violations,
             _u_masks,
+            _kept_check,
         ):
             info = cache.cache_info()
             assert info.maxsize == FIBRE_RULE_CACHE_SIZE
@@ -542,18 +559,110 @@ class TestAdmittedQueries:
 
     @pytest.mark.parametrize("remembered", [False, True])
     @pytest.mark.parametrize("bad", [None, "x", 0, (0, 0, 0, False, ())])
-    def test_non_type_is_refused_whatever_was_admitted_before(
-        self, monkeypatch, remembered, bad
-    ):
+    def test_non_type_is_refused_whatever_was_admitted_before(self, remembered, bad):
         from plurigenera import verifier
 
-        monkeypatch.setattr(verifier, "_last_admitted", verifier._NOTHING_ADMITTED)
+        # forget the remembered type in place, as in a fresh process
+        verifier._last_admitted[:] = verifier._NOTHING_ADMITTED
         if remembered:
             verify_main_theorem(tame((2, 6, 6)))
         with pytest.raises(InvalidInputError):
             verify_main_theorem(bad)
         with pytest.raises(InvalidInputError):
             verify_tail(bad, 14, 2)
+
+    def test_tail_after_main_reads_statement_4_from_the_check(self, monkeypatch):
+        calls = []
+        decide = QuasiLinearForm.eventually_at_least
+
+        def counting(form, threshold, target):
+            calls.append((threshold, target))
+            return decide(form, threshold, target)
+
+        monkeypatch.setattr(QuasiLinearForm, "eventually_at_least", counting)
+        for t in (tame((2, 6, 6)), tame((3, 3, 3, 3), chi=1), tame((2, 3), chi=2)):
+            main = verify_main_theorem(t)
+            calls.clear()
+            assert verify_tail(t, 14, 2) is main.stmt4
+            assert calls == []
+            verify_tail(t, 13, 2)
+            verify_tail(t, 14, 3)
+            assert calls == [(13, 2), (14, 3)]
+
+    def test_queries_rebind_no_package_attribute(self):
+        modules = [
+            m for name, m in sorted(sys.modules.items())
+            if name == "plurigenera" or name.startswith("plurigenera.")
+        ]
+        before = {m: dict(vars(m)) for m in modules}
+        for t in _single_type_requests(11, 200):
+            try:
+                verify_main_theorem(t)
+            except InadmissibleTypeError:
+                continue
+            if t.g == 0:
+                verify_tail(t, 14, 2)
+                verify_tail(t, 13, 2)
+        for m in modules:
+            after = vars(m)
+            assert after.keys() == before[m].keys(), m.__name__
+            changed = [k for k, v in before[m].items() if after[k] is not v]
+            assert changed == [], m.__name__
+
+
+class TestStatementMemo:
+    """Single-type queries read their ``StatementCheck`` from a bounded
+    memo keyed on (form, audit length), shared by every type with that
+    form."""
+
+    @staticmethod
+    def _upto(t):
+        period = lcm(*(f.m for f in t.fibres))
+        return 14 + 2 * period if period <= 120 else 40
+
+    def test_memo_hit_equals_a_fresh_check(self):
+        _kept_check.cache_clear()
+        hits = 0
+        # equal types built apart: each is admitted afresh, and its form
+        # is found in the memo
+        for first, again in zip(*(_single_type_requests(20170, 1000) for _ in "ab")):
+            try:
+                main = verify_main_theorem(first)
+            except InadmissibleTypeError:
+                continue
+            before = _kept_check.cache_info().hits
+            assert verify_main_theorem(again) == main
+            assert _kept_check.cache_info().hits == before + 1
+            hits += 1
+            form, upto = plurigenus_form(again), self._upto(again)
+            fresh = StatementCheck.from_form(form, upto)
+            assert _statement_check(form, upto) == fresh
+            assert (main.series, main.p12, main.stmt4) == (
+                fresh.series, fresh.p12, fresh.tail
+            )
+        assert hits > 500
+
+    def test_a_huge_form_is_answered_but_not_kept(self):
+        _kept_check.cache_clear()
+        huge = tame((2, 3), chi=10**4297)  # a 4,298-digit chi
+        report = verify_main_theorem(huge)
+        assert report.stmt1 and report.stmt4 and len(report.series) == 27
+        assert report.series[1] == 10**4297 - 1  # 1 + (chi - 2) + 0 + 0
+        assert _kept_check.cache_info().currsize == 0
+        # an entry is kept only if every integer in it fits in 63 bits
+        # (P_n = 1 + n*(chi - 2) + n//2 + 2n//3, so P_26 = 26*chi - 21)
+        assert verify_main_theorem(tame((2, 3), chi=2**62 // 26)).series[26] < 2**62
+        assert _kept_check.cache_info().currsize == 1
+        past = verify_main_theorem(tame((2, 3), chi=2**63 // 26 + 2))
+        assert past.series[26] >= 2**63
+        # small values, but a 65-bit multiplicity in the key
+        assert verify_main_theorem(tame((2**64,), chi=2)).series[1:3] == (1, 2)
+        assert _kept_check.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("upto", [[14], {}, 13, -1, "20", 14.0, True, None])
+    def test_bad_audit_length_is_refused_before_the_memo(self, upto):
+        with pytest.raises(InvalidInputError, match="upto"):
+            _statement_check(QuasiLinearForm(1, 0, ()), upto)
 
 
 CASE4_SMALL = EnumerationBounds(
@@ -761,8 +870,6 @@ class TestEnumeration:
                             fibres=wilds + tuple(FibreDatum.tame(m) for m in comp),
                         )
                         if is_admissible(cand).admissible:
-                            from plurigenera.verifier import _finalize
-
                             slow.add(_finalize(cand))
             assert fast == slow, cell
 
@@ -777,7 +884,7 @@ class TestEnumeration:
         # (m, nu) shape and builds only the combinations it keeps, so no
         # combination that fails U is ever built
         from plurigenera import verifier
-        from plurigenera.verifier import _cell_types, _finalize
+        from plurigenera.verifier import _cell_types
 
         built = []
         construct = FibrationNumericalType.__post_init__
@@ -906,7 +1013,7 @@ class TestLeanAdmission:
     BOUNDS = EnumerationBounds(8, 3, 3, (0, 2, 3))
 
     def test_cell_types_match_the_admissibility_filter(self):
-        from plurigenera.verifier import _cell_order, _cell_types, _finalize
+        from plurigenera.verifier import _cell_order, _cell_types
 
         cells = _cell_order(self.BOUNDS)
         kinds = set()
@@ -1564,11 +1671,11 @@ TINY = EnumerationBounds(4, 2, 1, (0, 2))
         lambda: QuasiLinearForm(1, 0, ()).eventually_at_least(1, None),
     ],
 )
-def test_malformed_library_input_raises_invalid_input(call, monkeypatch):
+def test_malformed_library_input_raises_invalid_input(call):
     from plurigenera import verifier
 
     # as in a fresh process: no type admitted yet
-    monkeypatch.setattr(verifier, "_last_admitted", verifier._NOTHING_ADMITTED)
+    verifier._last_admitted[:] = verifier._NOTHING_ADMITTED
     with pytest.raises(InvalidInputError):
         call()
 
