@@ -42,7 +42,6 @@ from .model import (
     FibreDatum,
     PlurigenusValue,
     delta_degree,
-    geometric_genus,
     plurigenera_series,
     plurigenus,
     slope,
@@ -89,7 +88,6 @@ __all__ = [
     "delta_degree",
     "enumerate_types",
     "find_sharp_cases",
-    "geometric_genus",
     "is_admissible",
     "plurigenera_series",
     "plurigenus",

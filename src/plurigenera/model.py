@@ -19,10 +19,14 @@ On a positive-genus base only lower bounds are determined by the
 numerical data, one per branch (``plurigenus_form``), flagged inexact.
 
 Constructors enforce structural well-formedness only (field types and
-ranges).  The model-level rules (torsion divisibility, tame coefficient
-forcing, the wild power relation, slope positivity, condition U, the
-quasi-elliptic restrictions) are checked by ``verifier.is_admissible``,
-which reports named violations instead of raising.
+ranges), once per value and on a fast path: plain ints, bools and
+tuples in range pass one inline test, and only a value that fails it
+goes through the generic checks of ``errors``, which raise the same
+errors with the same messages in the same order.  The model-level rules
+(torsion divisibility, tame coefficient forcing, the wild power
+relation, slope positivity, condition U, the quasi-elliptic
+restrictions) are checked by ``verifier.is_admissible``, which reports
+named violations instead of raising.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 
 from .congruence import QuasiLinearForm
 from .errors import (
@@ -72,6 +77,10 @@ def is_prime(n: int) -> bool:
     return factorization(n) == ((n, 1),)
 
 
+# The positive characteristics the type constructor accepts without a
+# primality test; any other value goes through ``validate_characteristic``.
+_SMALL_PRIMES = frozenset(q for q in range(2, 100) if all(q % d for d in range(2, q)))
+
 # The largest characteristic accepted.  Primality is decided by trial
 # division, about sqrt(p) steps: a few milliseconds at this bound, more
 # than 20 s at 2**61 - 1.
@@ -95,6 +104,10 @@ def validate_characteristic(p: int) -> int:
     return p
 
 
+# The key of ``FibreDatum.sort_key``, by which a type sorts its fibres.
+_FIBRE_ORDER = attrgetter("m", "nu", "t", "a")
+
+
 @dataclass(frozen=True, slots=True)
 class FibreDatum:
     """One multiple fibre: multiplicity m, canonical coefficient a,
@@ -111,23 +124,28 @@ class FibreDatum:
     t: int
 
     def __post_init__(self):
-        _check_int("m", self.m, 2)
-        _check_int("a", self.a, 0)
-        if self.a >= self.m:
-            raise InvalidInputError(
-                f"need 0 <= a < m, got a={_int_text(self.a)}, m={_int_text(self.m)}"
-            )
-        _check_int("nu", self.nu, 1)
-        _check_int("e", self.e, 0)
-        _check_int("t", self.t, 0)
+        # plain ints in range pass the fast test; any other value, and any
+        # int subclass, goes through the checks in their order
+        m, a, nu, e, t = self.m, self.a, self.nu, self.e, self.t
+        if not (
+            type(m) is int is type(a) is type(nu) is type(e) is type(t)
+            and 0 <= a < m and nu >= 1 and e >= 0 and t >= 0 and m >= 2
+        ):
+            _check_int("m", m, 2)
+            _check_int("a", a, 0)
+            if a >= m:
+                raise InvalidInputError(
+                    f"need 0 <= a < m, got a={_int_text(a)}, m={_int_text(m)}"
+                )
+            _check_int("nu", nu, 1)
+            _check_int("e", e, 0)
+            _check_int("t", t, 0)
 
     @property
     def wild(self) -> bool:
         return self.t >= 1
 
-    @property
-    def sort_key(self) -> tuple[int, int, int, int]:
-        return (self.m, self.nu, self.t, self.a)
+    sort_key = property(_FIBRE_ORDER, doc="(m, nu, t, a): the canonical fibre order")
 
     @classmethod
     def tame(cls, m: int) -> "FibreDatum":
@@ -173,15 +191,15 @@ def _tame_fibre(m: int) -> FibreDatum:
 class FibrationNumericalType:
     """Complete numeric record of a fibration of Kodaira dimension one.
 
-    Fibres are canonicalized on construction: sorted ascending by
-    (m, nu, t, a).  Types and fibres are slotted immutable values (no
-    per-instance ``__dict__``), hashable and picklable, so they can be
-    shared freely between concurrent workers.  ``FibreDatum.tame``
-    returns one shared instance per multiplicity, so object identity is
-    not part of the API: compare with ``==``.  ``torsion_length``, the
-    total length t of the torsion part of the direct image, is derived
-    from the fibres once on construction; it takes no part in equality,
-    hashing, ``repr`` or ``to_dict``.
+    Fibres are canonicalized on construction: sorted stably, ascending
+    by ``FibreDatum.sort_key`` (m, nu, t, a).  Types and fibres are
+    slotted immutable values (no per-instance ``__dict__``), hashable and
+    picklable, so they can be shared freely between concurrent workers.
+    ``FibreDatum.tame`` returns one shared instance per multiplicity, so
+    object identity is not part of the API: compare with ``==``.
+    ``torsion_length``, the total length t of the torsion part of the
+    direct image, is derived from the fibres once on construction; it
+    takes no part in equality, hashing, ``repr`` or ``to_dict``.
     """
 
     p: int
@@ -193,18 +211,30 @@ class FibrationNumericalType:
     torsion_length: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        validate_characteristic(self.p)
-        _check_int("g", self.g, 0)
-        _check_int("chi", self.chi)  # negative chi is a reported violation
-        _check_bool("quasi_elliptic", self.quasi_elliptic)
-        _check_bool("existence_unknown", self.existence_unknown)
-        fibres = _check_tuple("fibres", self.fibres)
+        # plain values in range pass the fast test; any other value goes
+        # through the checks in their order
+        p, g, fibres = self.p, self.g, self.fibres
+        if not (
+            type(p) is int is type(g) is type(self.chi)
+            and (p == 0 or p in _SMALL_PRIMES) and g >= 0
+            and type(self.quasi_elliptic) is bool is type(self.existence_unknown)
+            and type(fibres) is tuple
+        ):
+            validate_characteristic(p)
+            _check_int("g", g, 0)
+            _check_int("chi", self.chi)  # negative chi is a reported violation
+            _check_bool("quasi_elliptic", self.quasi_elliptic)
+            _check_bool("existence_unknown", self.existence_unknown)
+            fibres = _check_tuple("fibres", fibres)
+        torsion_length = 0
         for f in fibres:
             if not isinstance(f, FibreDatum):
                 raise InvalidInputError(f"fibres must contain FibreDatum, got {f!r}")
-        fibres = tuple(sorted(fibres, key=lambda f: f.sort_key))
+            torsion_length += f.t
+        if len(fibres) > 1:
+            fibres = tuple(sorted(fibres, key=_FIBRE_ORDER))
         object.__setattr__(self, "fibres", fibres)
-        object.__setattr__(self, "torsion_length", sum(f.t for f in fibres))
+        object.__setattr__(self, "torsion_length", torsion_length)
 
     @property
     def r(self) -> int:
@@ -302,10 +332,14 @@ class PlurigenusValue:
     exact: bool
 
     def __post_init__(self):
-        _check_int("n", self.n, 0)
-        _check_int("value", self.value, 0)
-        if self.n == 0 and (self.value != 1 or not self.exact):
-            raise InvalidInputError("P_0 is exactly 1")
+        # plain ints with n >= 1 pass the fast test; P_0 and any other
+        # value go through the checks in their order
+        n, value = self.n, self.value
+        if not (type(n) is int is type(value) and n >= 1 and value >= 0):
+            _check_int("n", n, 0)
+            _check_int("value", value, 0)
+            if n == 0 and (value != 1 or not self.exact):
+                raise InvalidInputError("P_0 is exactly 1")
 
 
 def delta_degree(t: FibrationNumericalType) -> int:
@@ -325,15 +359,6 @@ def slope(t: FibrationNumericalType) -> Fraction:
     for f in t.fibres:
         s += Fraction(f.a, f.m)
     return s
-
-
-def geometric_genus(t: FibrationNumericalType) -> int:
-    """p_g = max(0, d + 1); established only over a genus-zero base."""
-    if t.g != 0:
-        raise UnsupportedInputError(
-            "geometric genus from numerical data is only available for g = 0"
-        )
-    return max(0, delta_degree(t) + 1)
 
 
 def _plurigenus_terms(t: FibrationNumericalType):

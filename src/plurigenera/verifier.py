@@ -336,8 +336,10 @@ def verify_tail(t: FibrationNumericalType, threshold: int, target: int) -> bool:
     The arguments are checked in order, then the type is admitted as
     ``verify_main_theorem`` admits it; right after a main query of the
     same type object it reuses that admission, form and statement (4)."""
-    _check_int("threshold", threshold)
-    _check_int("target", target)
+    if type(threshold) is not int:  # a plain int passes; others are checked
+        _check_int("threshold", threshold)
+    if type(target) is not int:
+        _check_int("target", target)
     _check_type(t)
     if t.g != 0:
         raise UnsupportedInputError("verify_tail requires a genus-zero base")

@@ -5,6 +5,7 @@ import pickle
 import random
 import tracemalloc
 from fractions import Fraction
+from types import GeneratorType
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +18,6 @@ from plurigenera import (
     PlurigenusValue,
     UnsupportedInputError,
     delta_degree,
-    geometric_genus,
     is_admissible,
     plurigenera_series,
     plurigenus,
@@ -83,18 +83,22 @@ class TestSlope:
 
 
 class TestGeometricGenus:
+    """p_g = max(0, d + 1) over a genus-zero base, the replacement of the
+    removed ``geometric_genus``."""
+
+    @staticmethod
+    def p_g(t):
+        assert t.g == 0
+        return max(0, delta_degree(t) + 1)
+
     def test_case1_shape(self):
-        assert geometric_genus(WILD_421) == 1
+        assert self.p_g(WILD_421) == 1
 
     def test_case4_shape(self):
-        assert geometric_genus(T266) == 0
+        assert self.p_g(T266) == 0
 
     def test_chi_three(self):
-        assert geometric_genus(tame((), chi=3)) == 2
-
-    def test_rejects_positive_genus(self):
-        with pytest.raises(UnsupportedInputError):
-            geometric_genus(tame((), g=1, chi=1))
+        assert self.p_g(tame((), chi=3)) == 2
 
 
 class TestPlurigenus:
@@ -348,6 +352,167 @@ class TestStructure:
             FibrationNumericalType(
                 p=0, g=0, chi=0, quasi_elliptic=False, fibres=fibres
             )
+
+
+class Int(int):
+    """An int subclass: accepted wherever an int is."""
+
+
+class Tuple(tuple):
+    """A tuple subclass: accepted as fibres, stored as a plain tuple."""
+
+
+FIBRE = dict(m=4, a=1, nu=2, e=1, t=1)
+FIBRES = (FibreDatum.tame(3), FibreDatum(**FIBRE), FibreDatum.tame(2))
+TYPE = dict(p=2, g=0, chi=1, quasi_elliptic=False, fibres=FIBRES, existence_unknown=False)
+VALUE = dict(n=3, value=2, exact=True)
+BASES = {FibreDatum: FIBRE, FibrationNumericalType: TYPE, PlurigenusValue: VALUE}
+BIG = 10**5000
+
+
+def _bad_int_rows():
+    """Each int field as a bool, a float, None and a negative value."""
+    minimum = {"m": 2, "a": 0, "nu": 1, "e": 0, "t": 0, "g": 0, "n": 0, "value": 0}
+    owners = [(FibreDatum, "m a nu e t"), (FibrationNumericalType, "g chi"),
+              (PlurigenusValue, "n value")]
+    for cls, names in owners:
+        for name in names.split():
+            for bad in (True, 2.0, None):
+                yield cls, {name: bad}, f"{name} must be an integer, got {bad!r}"
+            if name in minimum:
+                yield cls, {name: -1}, f"{name} must be >= {minimum[name]}, got -1"
+    for bad in (True, 2.0, None):
+        yield (FibrationNumericalType, {"p": bad},
+               f"characteristic must be an integer, got {bad!r}")
+    yield FibrationNumericalType, {"p": -1}, "characteristic must be 0 or prime, got -1"
+
+
+class TestConstructorChecks:
+    """The constructors raise the errors, with the messages and in the
+    order, of the generic field checks, whichever path a value takes;
+    ``None`` in the error column means the input is accepted."""
+
+    ROWS = [
+        *((cls, over, InvalidInputError, msg) for cls, over, msg in _bad_int_rows()),
+        # fibres: the range check, the digit limit, the check order
+        (FibreDatum, {"a": 4}, InvalidInputError, "need 0 <= a < m, got a=4, m=4"),
+        (FibreDatum, {"m": 1, "a": 0}, InvalidInputError, "m must be >= 2, got 1"),
+        (FibreDatum, {"a": BIG}, InvalidInputError,
+         "need 0 <= a < m, got a=an integer of 16610 bits, m=4"),
+        (FibreDatum, {"m": True, "a": -1}, InvalidInputError,
+         "m must be an integer, got True"),
+        (FibreDatum, {"a": 5, "nu": 0}, InvalidInputError,
+         "need 0 <= a < m, got a=5, m=4"),
+        (FibreDatum, {"nu": 0, "e": None}, InvalidInputError, "nu must be >= 1, got 0"),
+        # the characteristic
+        (FibrationNumericalType, {"p": 4}, InvalidInputError,
+         "characteristic must be 0 or prime, got 4"),
+        (FibrationNumericalType, {"p": BIG}, UnsupportedInputError,
+         "characteristic an integer of 16610 bits exceeds "
+         "MAX_CHARACTERISTIC = 1000000000"),
+        (FibrationNumericalType, {"p": [2]}, InvalidInputError,
+         "characteristic must be an integer, got [2]"),
+        (FibrationNumericalType, {"p": 1}, InvalidInputError,
+         "characteristic must be 0 or prime, got 1"),
+        (FibrationNumericalType, {"p": 101}, None, None),
+        (FibrationNumericalType, {"p": 0}, None, None),
+        # flags and fibres
+        (FibrationNumericalType, {"quasi_elliptic": 1}, InvalidInputError,
+         "quasi_elliptic must be a boolean"),
+        (FibrationNumericalType, {"existence_unknown": 0}, InvalidInputError,
+         "existence_unknown must be a boolean"),
+        (FibrationNumericalType, {"fibres": 5}, InvalidInputError,
+         "fibres must be a sequence"),
+        (FibrationNumericalType, {"fibres": (FibreDatum.tame(2), 3)}, InvalidInputError,
+         "fibres must contain FibreDatum, got 3"),
+        (FibrationNumericalType, {"fibres": list(FIBRES)}, None, None),
+        (FibrationNumericalType, {"fibres": (f for f in FIBRES)}, None, None),
+        (FibrationNumericalType, {"fibres": Tuple(FIBRES)}, None, None),
+        (FibrationNumericalType, {"fibres": Tuple(FIBRES[:1])}, None, None),
+        (FibrationNumericalType, {"fibres": FIBRES[:1]}, None, None),
+        (FibrationNumericalType, {"fibres": ()}, None, None),
+        # the check order of a type
+        (FibrationNumericalType, {"p": 4, "g": -1}, InvalidInputError,
+         "characteristic must be 0 or prime, got 4"),
+        (FibrationNumericalType, {"g": -1, "quasi_elliptic": 1}, InvalidInputError,
+         "g must be >= 0, got -1"),
+        (FibrationNumericalType, {"chi": None, "fibres": 5}, InvalidInputError,
+         "chi must be an integer, got None"),
+        (FibrationNumericalType, {"quasi_elliptic": 1, "fibres": 5}, InvalidInputError,
+         "quasi_elliptic must be a boolean"),
+        # negative chi is a reported violation, not a field error
+        (FibrationNumericalType, {"chi": -1}, None, None),
+        # int subclasses stay accepted
+        (FibreDatum, {k: Int(v) for k, v in FIBRE.items()}, None, None),
+        (FibrationNumericalType, {"p": Int(2), "g": Int(0), "chi": Int(1)}, None, None),
+        (PlurigenusValue, {"n": Int(3), "value": Int(2)}, None, None),
+        # the P_0 rule
+        (PlurigenusValue, {"n": 0, "value": 2}, InvalidInputError, "P_0 is exactly 1"),
+        (PlurigenusValue, {"n": 0, "value": 1, "exact": False}, InvalidInputError,
+         "P_0 is exactly 1"),
+        (PlurigenusValue, {"n": 0, "value": -1}, InvalidInputError,
+         "value must be >= 0, got -1"),
+        (PlurigenusValue, {"n": 0, "value": 1}, None, None),
+        (PlurigenusValue, {"value": 0, "exact": False}, None, None),
+    ]
+
+    @pytest.mark.parametrize(
+        "cls, overrides, error, message",
+        ROWS,
+        ids=[f"{cls.__name__}-{'-'.join(over)}-{i}" for i, (cls, over, *_) in enumerate(ROWS)],
+    )
+    def test_row(self, cls, overrides, error, message):
+        fields = {**BASES[cls], **overrides}
+        if error is not None:
+            with pytest.raises(error) as excinfo:
+                cls(**fields)
+            assert str(excinfo.value) == message
+            return
+        raw = fields.get("fibres", ())
+        given = FIBRES if isinstance(raw, GeneratorType) else tuple(raw)
+        built = cls(**fields)
+        for name, value in fields.items():
+            if name != "fibres":
+                assert getattr(built, name) is value
+        if cls is FibrationNumericalType:
+            assert type(built.fibres) is tuple
+            assert built.fibres == tuple(sorted(given, key=lambda f: f.sort_key))
+            assert built.torsion_length == sum(f.t for f in given)
+
+
+@st.composite
+def shape_fibres(draw):
+    """A structurally valid fibre from a small range, so that fibres that
+    differ only in ``e`` are drawn often."""
+    m = draw(st.integers(2, 4))
+    return FibreDatum(
+        m, draw(st.integers(0, m - 1)), draw(st.integers(1, 2)),
+        draw(st.integers(0, 2)), draw(st.integers(0, 2)),
+    )
+
+
+class TestCanonicalFibres:
+    @settings(max_examples=200)
+    @given(st.lists(shape_fibres(), max_size=8).flatmap(st.permutations),
+           st.sampled_from((tuple, list)))
+    @example([FibreDatum(4, 1, 2, 2, 1), FibreDatum(4, 1, 2, 0, 1),
+              FibreDatum(2, 1, 2, 0, 0), FibreDatum(4, 1, 2, 1, 1)], tuple)
+    def test_sorted_stably_by_sort_key(self, fibres, container):
+        t = FibrationNumericalType(
+            p=2, g=0, chi=0, quasi_elliptic=False, fibres=container(fibres)
+        )
+        assert t.fibres == tuple(sorted(fibres, key=lambda f: f.sort_key))
+        assert t.torsion_length == sum(f.t for f in fibres)
+        assert all(f.sort_key == (f.m, f.nu, f.t, f.a) for f in fibres)
+
+    def test_ties_in_e_keep_their_input_order(self):
+        first, second = FibreDatum(4, 1, 2, 2, 1), FibreDatum(4, 1, 2, 0, 1)
+        for order in ((first, second), (second, first)):
+            t = FibrationNumericalType(
+                p=2, g=0, chi=0, quasi_elliptic=False,
+                fibres=(FibreDatum.tame(5),) + order,
+            )
+            assert t.fibres == order + (FibreDatum.tame(5),)
 
 
 class TestJson:

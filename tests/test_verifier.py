@@ -557,6 +557,32 @@ class TestAdmittedQueries:
             verify_tail(genus_one, 14, 2)
         assert verify_tail(t, 14, 2) is True
 
+    @pytest.mark.parametrize(
+        "threshold, target, message",
+        [
+            (True, 2, "threshold must be an integer, got True"),
+            (14.0, 2, "threshold must be an integer, got 14.0"),
+            (14, False, "target must be an integer, got False"),
+            (14, 2.0, "target must be an integer, got 2.0"),
+            # threshold, then target, then the type
+            (False, 2.5, "threshold must be an integer, got False"),
+            (14, True, "target must be an integer, got True"),
+        ],
+    )
+    def test_bool_or_float_arguments_raise_in_order(self, threshold, target, message):
+        for t in (tame((2, 6, 6)), None):
+            with pytest.raises(InvalidInputError) as excinfo:
+                verify_tail(t, threshold, target)
+            assert str(excinfo.value) == message
+
+    def test_int_subclass_arguments_are_accepted(self):
+        class Int(int):
+            pass
+
+        t = tame((2, 6, 6))
+        assert verify_tail(t, Int(14), Int(2)) is True
+        assert verify_tail(t, Int(13), 2) is False
+
     @pytest.mark.parametrize("remembered", [False, True])
     @pytest.mark.parametrize("bad", [None, "x", 0, (0, 0, 0, False, ())])
     def test_non_type_is_refused_whatever_was_admitted_before(self, remembered, bad):
