@@ -10,77 +10,12 @@ all read from one ``cases.StatementCheck`` per form: one series pass and
 statement (4) decided exactly through the quasi-linear structure of the
 plurigenus formula.
 
-``verify_all`` runs the sweep in one of two modes.  The certified mode
-(default) mirrors the structure of the genus-zero case analysis and
-reads each cell's row of it, ``cases.cell_row``: shapes the analysis
-handles uniformly (for example "five or more tame fibres") are covered
-by the row's class certificates - quasi-linear bounds whose statement
-checks are decided exactly - while the finitely many remaining shapes,
-the row's residual (triples and quadruples with no base term, small
-wild configurations), are materialized and checked one by one.
-``materialize_all=True`` enumerates every admissible type in bounds
-instead; it is exact but only practical for small bounds.
-
-The wild side of a cell comes from one generator, ``_wild_combos``.
-Condition U and the tame companions read a wild fibre's (m, nu) alone,
-so it yields each wild shape once - a tuple of ``_wild_data`` groups
-(m, nu, records), one per fibre - with its weight, the number of wild
-combinations behind it.  Both modes pair each shape with tame companions
-in one stream, ``_cell_candidates``: drawn from the condition-U walk when
-U applies (chi = 0, elliptic), from all multisets otherwise, and none
-when no fibre slot is free, where U is decided on the shape's integers
-(``_shape_u``).  A companion adds the shape's weight to the cell's
-candidates, and so does a bare shape that fails U, which is counted but
-never built.  ``_cell_types`` expands a shape into its combinations only
-beside a companion, and decides each on integers.  Every rule of
-``is_admissible`` but the slope holds there by construction: the
-``_wild_data`` menus are built by the local rules (``_count_certified``
-sets out why the h^1 flag does not matter), tame fibres are the shared
-``FibreDatum.tame`` instances, the walk and ``_shape_u`` decide
-condition U on one criterion (``_u_fold``: bit masks over the prime
-powers that the fibres need and that one, or two, of them cover; U
-holds when every need is covered twice), and ``_cell_order`` gives each
-cell chi >= 0 and the quasi-elliptic rules.  So only the slope
-d*L + sum a*(L/m) > 0 is tested, on plain integers; the existence flag
-is read from the shape's torsion lengths, and the survivors are sorted
-on integer keys before any is built.  ``is_admissible`` stays the
-public decider and the oracle: a test holds ``_cell_types`` against
-``is_admissible`` filtering of candidates built independently.
-The material mode lets the companions fill every free slot; the
-certified mode caps them at the row's ``tame_cap``.  A cell that would
-test more than ``MATERIAL_GUARD`` candidates stops the sweep with
-``UnsupportedInputError``; ``enumerate_types``, ``find_sharp_cases``
-and the material sweep check every cell's multiset estimate first, and
-the certified sweep the closed-form totals of its counted cells.
-
-The certified mode counts the wild cells that their row covers whole
-(no residual: chi + t >= 3) instead of building them
-(``_count_certified``).  There d >= 1, the row's one certificate,
-easy-large-degree (P_n >= n*d + 1), bounds every type termwise, and
-every wild combination is admissible unless U applies and its shape
-fails U.  So the count is the number of wild combinations, in closed
-form, or where U applies the summed weights of the shapes that pass it;
-the guard reads the closed form, the total that the stream building
-the cell reads would reach.  It builds them only with ``keep_rows``,
-which needs a row per type.  When the sweep's maximum first1 or first2
-is at most 1 (as at ``max_fibres=1``), the attainer lists include every
-counted type: ``verify_all`` fills them in place from ``_cell_types``,
-and sweeps no cell twice.  ``materialized`` and ``total_materialized``
-count the covered types, built or counted; a tame cell that its row
-covers whole is reported through one stand-in per certificate
-(``_materialize_certified``).
-
-``_map_cells`` is the one cell executor, serial or in a process pool,
-for both sweep modes, ``enumerate_types`` and ``find_sharp_cases``.  It
-runs each tame class - the cells with t = 0 and one (chi,
-quasi_elliptic), which differ only in p - once, in its first cell, and
-re-keys that result for the class's other cells
-(``_with_characteristic``).  That is exact: nothing a tame type meets
-reads p.  ``_fibre_violations`` returns from its tame branch before it
-reads p; the slope, condition U, the existence flag (which reads wild
-fibres only), ``cell_row(chi, t)`` and the tame branches of
-``replay_type`` do not read it; and quasi-elliptic cells exist only for
-p in {2, 3}, which both pass the quasi-elliptic characteristic rule.
+README "The sweep" is the one reference for the sweep pipeline: the two
+modes of ``verify_all``, the wild shapes of ``_wild_combos``, the
+candidate stream ``_cell_candidates`` and its guard (``_check_totals``,
+``_candidate_total``), the integer decisions of ``_cell_types``, the
+counted cells (``_count_certified``) and the cell executor
+``_map_cells``.
 """
 
 from __future__ import annotations
@@ -90,7 +25,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, count, groupby, product
 from math import comb, gcd, lcm, prod
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .cases import (
     StatementCheck,
@@ -120,6 +55,7 @@ from .model import (
     FIBRE_RULE_CACHE_SIZE,
     FibrationNumericalType,
     FibreDatum,
+    _FIBRE_ORDER,
     _check_type,
     _tame_fibre,
     factorization,
@@ -336,8 +272,8 @@ def verify_tail(t: FibrationNumericalType, threshold: int, target: int) -> bool:
     The arguments are checked in order, then the type is admitted as
     ``verify_main_theorem`` admits it; right after a main query of the
     same type object it reuses that admission, form and statement (4)."""
-    if type(threshold) is not int:  # a plain int passes; others are checked
-        _check_int("threshold", threshold)
+    if type(threshold) is not int or threshold < 0:  # others are checked
+        _check_int("threshold", threshold, 0)
     if type(target) is not int:
         _check_int("target", target)
     _check_type(t)
@@ -599,26 +535,48 @@ def _refusal(cell, reason: str) -> UnsupportedInputError:
     )
 
 
-def _check_estimates(bounds: EnumerationBounds, cells):
-    """Raise when a cell without condition U would test more than
-    ``MATERIAL_GUARD`` tame multisets beside one wild combination, at the
-    free slots of its first shape, the one with the fewest fibres."""
-    for p, chi, t, quasi in cells:
-        if chi == 0 and not quasi:
-            continue
-        first = next(_wild_combos(p, t, bounds.max_fibres, bounds.max_mult), None)
-        slots = bounds.max_fibres - len(first[0]) if first else 0
-        est = comb(bounds.max_mult - 1 + slots, slots)  # multisets of size <= slots
-        if est > MATERIAL_GUARD:
-            reason = f"would materialize ~{est} candidate types, more than"
-            raise _refusal((p, chi, t, quasi), reason)
+def _candidate_total(bounds: EnumerationBounds, cell, max_tame: int) -> int:
+    """The total that the guard of ``_cell_candidates`` reaches in a cell
+    whose companions are all the multisets of the free slots, or none: the
+    sum, over the partitions of t into runs of k_j fibres of torsion
+    length t_j, of the product of the multiset counts C(N_j + k_j - 1,
+    k_j) of the t_j menus of N_j records and C(max_mult - 1 + s, s) of the
+    companions, with s = min(max_tame, max_fibres - sum k_j) free slots.
+    Raises past ``MATERIAL_GUARD``."""
+    p, _, t, _ = cell
+    menus = {
+        t_j: sum(len(fs) for _, _, fs in _wild_data(p, t_j, bounds.max_mult))
+        for t_j in range(1, t + 1)
+    }
+    parts = [t_j for t_j, size in menus.items() if size]
+    total = 0
+    for runs in _torsion_partitions(t, bounds.max_fibres, parts):
+        s = min(max_tame, bounds.max_fibres - sum(k for _, k in runs))
+        companions = comb(bounds.max_mult - 1 + s, s)
+        total += companions * prod(comb(menus[t_j] + k - 1, k) for t_j, k in runs)
+    if total > MATERIAL_GUARD:
+        raise _refusal(cell, f"would test {total} candidates, more than")
+    return total
+
+
+def _check_totals(bounds: EnumerationBounds, cells, materialize_all: bool) -> None:
+    """Refuse, before any cell runs, a cell whose ``_candidate_total`` is
+    past the guard, at the tame cap its sweep uses: every free slot in
+    material mode, the row's ``tame_cap`` (none for a counted cell) in
+    certified mode.  It skips the cells whose companions the condition-U
+    walk draws, and the tame cells that their row covers whole."""
+    for cell in cells:
+        _, chi, t, quasi = cell
+        cap = bounds.max_fibres if materialize_all else cell_row(chi, t).tame_cap
+        if not (cap is None and t == 0 or cap and chi == 0 and not quasi):
+            _candidate_total(bounds, cell, cap or 0)
 
 
 def _cell_candidates(bounds: EnumerationBounds, cell, max_tame: int):
     """Each candidate of one cell as (shape, weight, companion), with at
-    most ``max_tame`` tame multiplicities as the companion, as the module
-    docstring sets out; raises once the summed weights of the candidates
-    and of the bare shapes that fail U pass ``MATERIAL_GUARD``."""
+    most ``max_tame`` tame multiplicities as the companion (README, "The
+    sweep"); raises once the summed weights of the candidates and of the
+    bare shapes that fail U pass ``MATERIAL_GUARD``."""
     p, chi, t, quasi = cell
     candidates = 0
     u_applies = chi == 0 and not quasi
@@ -639,9 +597,6 @@ def _cell_candidates(bounds: EnumerationBounds, cell, max_tame: int):
                 yield shape, weight, comp
 
 
-_FIBRE_KEY = attrgetter("m", "nu", "t", "a", "e")
-
-
 def _cell_types(bounds: EnumerationBounds, cell, max_tame: int):
     """The admissible types of one cell that pair a wild combination with
     at most ``max_tame`` tame fibres (``_cell_candidates``), canonically
@@ -649,12 +604,12 @@ def _cell_types(bounds: EnumerationBounds, cell, max_tame: int):
     and the wild ones the ``_wild_data`` records, so the types of a cell
     share their fibre objects.
 
-    Of the rules of ``is_admissible`` only the slope is left to test, as
-    the module docstring sets out; it is tested on integers, with one
-    L = lcm(m) per (shape, companion).  The survivors are sorted by flat
-    integer keys - within a cell, the canonical ``sort_key`` compares the
-    number of fibres, then the fibres' (m, nu, t, a, e) in turn - and only
-    then built.
+    Of the rules of ``is_admissible`` only the slope is left to test
+    (README, "The sweep"); it is tested on integers, with one L = lcm(m)
+    per (shape, companion).  The survivors are sorted by flat integer keys
+    (the canonical ``sort_key`` compares the number of fibres, then the
+    fibres' ``_FIBRE_ORDER`` (m, nu, t, a) in turn; within a cell
+    m = nu*p^e fixes e) and only then built.
     Companions come in ascending m, which is the canonical order of tame
     fibres, so a tame-only candidate needs no sorting."""
     p, chi, t, quasi = cell
@@ -662,7 +617,7 @@ def _cell_types(bounds: EnumerationBounds, cell, max_tame: int):
     found = []
 
     def keep(fibres, doubt):
-        key = (len(fibres), *chain.from_iterable(map(_FIBRE_KEY, fibres)))
+        key = (len(fibres), *chain.from_iterable(map(_FIBRE_ORDER, fibres)))
         found.append((key, fibres, doubt))
 
     for shape, _, comp in _cell_candidates(bounds, cell, max_tame):
@@ -678,7 +633,7 @@ def _cell_types(bounds: EnumerationBounds, cell, max_tame: int):
         doubt = _existence_unknown(chi, 0, r, [fs[0].t for _, _, fs in shape])
         for wilds in _expand(shape):
             if tame_part + sum(f.a * s for f, s in zip(wilds, scales)) > 0:
-                keep(tuple(sorted(wilds + tames, key=_FIBRE_KEY)), doubt)
+                keep(tuple(sorted(wilds + tames, key=_FIBRE_ORDER)), doubt)
     found.sort(key=itemgetter(0))
     return [
         FibrationNumericalType(p, 0, chi, quasi, fibres, doubt)
@@ -755,9 +710,9 @@ def enumerate_types(
 ) -> list[FibrationNumericalType]:
     """Every admissible genus-zero type within bounds, exactly once, in
     canonical order; the same for any ``jobs`` value.  Raises when a cell
-    would materialize more than ``MATERIAL_GUARD`` candidates."""
+    would test more than ``MATERIAL_GUARD`` candidates."""
     cells = _cell_order(bounds)
-    _check_estimates(bounds, cells)
+    _check_totals(bounds, cells, True)
     results = _map_cells(_cell_types_material, bounds, cells, jobs)
     return [ty for types in results for ty in types]
 
@@ -803,33 +758,13 @@ def _counted(cell) -> bool:
     return t >= 1 and cell_row(chi, t).tame_cap is None
 
 
-def _counted_total(bounds: EnumerationBounds, cell) -> int:
-    """The number of wild combinations of a counted cell, in closed form:
-    the sum, over the partitions of t into runs of k_j fibres of torsion
-    length t_j, of the product of the multiset counts C(N_j + k_j - 1,
-    k_j) of the t_j menus of N_j records.  It is the total that the
-    guard reads (``_count_certified``); raises past ``MATERIAL_GUARD``."""
-    p, _, t, _ = cell
-    menus = {
-        t_j: sum(len(fs) for _, _, fs in _wild_data(p, t_j, bounds.max_mult))
-        for t_j in range(1, t + 1)
-    }
-    parts = [t_j for t_j, size in menus.items() if size]
-    total = sum(
-        prod(comb(menus[t_j] + k - 1, k) for t_j, k in runs)
-        for runs in _torsion_partitions(t, bounds.max_fibres, parts)
-    )
-    if total > MATERIAL_GUARD:
-        raise _refusal(cell, "exceeds")
-    return total
-
-
 def _count_certified(bounds: EnumerationBounds, cell) -> int:
     """The number of admissible types of a counted cell without building
-    one: the summed weights of its candidates in ``_cell_candidates``,
-    the stream ``_cell_types`` builds from, so it equals
-    ``len(_cell_types(bounds, cell, 0))`` and raises where that does.
-    It reads that stream only where U applies.
+    one, ``len(_cell_types(bounds, cell, 0))``.  With no tame slot every
+    wild combination is a candidate, so ``_candidate_total(bounds, cell,
+    0)`` is the total the guard reads, and raises where building the cell
+    would.  Where U does not apply that total is the count; where it does,
+    the shapes that pass U (``_shape_u``) add their weights.
 
     Every fibre of the ``_wild_data`` menus passes its local rules: they
     are built by those rules with the h^1 flag off, t_j = 1 coefficients
@@ -838,19 +773,14 @@ def _count_certified(bounds: EnumerationBounds, cell) -> int:
     from the cell's row: no residual, and one certificate (1 + n*d) that
     bounds every type termwise by a floor-free form, nondecreasing and
     >= 2 from n = 1 on, so no type fails a statement or its replay, and
-    P_13 >= 2.
-
-    With no tame slot every wild combination adds to the guarded total,
-    so the total is in closed form (``_counted_total``).  Where U does
-    not apply that total is the count; where it does, the shapes that
-    pass U (``_shape_u``) add their weights."""
+    P_13 >= 2."""
     p, chi, t, quasi = cell
     row = cell_row(chi, t)
     (cert,) = row.certificates
     bound = cert.bound
     if row.tame_cap is not None or bound.pairs or bound.linear < 0 or bound.value(1) < 2:
         raise AssertionError(f"cell {cell} is not covered whole by P_n >= 2 for n >= 1")
-    total = _counted_total(bounds, cell)
+    total = _candidate_total(bounds, cell, 0)
     if chi != 0 or quasi:
         return total
     return sum(
@@ -961,11 +891,7 @@ def verify_all(
     cells = _cell_order(bounds)
     _check_bool("materialize_all", materialize_all)
     _check_bool("keep_rows", keep_rows)
-    if materialize_all:
-        _check_estimates(bounds, cells)
-    else:
-        for cell in filter(_counted, cells):
-            _counted_total(bounds, cell)  # refuse a cell past the guard up front
+    _check_totals(bounds, cells, materialize_all)
     results = _map_cells(_sweep_cell, bounds, cells, jobs, materialize_all, keep_rows)
     top1 = max((res["first1"][0] for res in results), default=0)
     top2 = max((res["first2"][0] for res in results), default=0)
@@ -1059,6 +985,6 @@ def find_sharp_cases(bounds: EnumerationBounds, predicate_id: str):
             f"{sorted(_PREDICATES)}"
         )
     cells = _cell_order(bounds)
-    _check_estimates(bounds, cells)
+    _check_totals(bounds, cells, True)
     results = _map_cells(_sharp_cell, bounds, cells, 1, predicate_id)
     return [ty for hits in results for ty in hits]

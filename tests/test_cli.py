@@ -310,6 +310,18 @@ class TestErrorEnvelopes:
         assert env["result"]["error"] == "unsupported-input"
         assert "(0, 1, 0, False)" in env["result"]["message"]
 
+    def test_enumerate_past_the_exact_total_is_refused_at_once(self, capsys):
+        # the cell (3, 1, 1) would test 5,565,120 candidates; its first
+        # shape alone gives 278,256
+        argv = ["enumerate", "--max-mult", "30", "--max-fibres", "6",
+                "--max-chi-plus-t", "2", "--characteristics", "3"]
+        code, env = run_json(capsys, argv)
+        assert code == 2
+        assert env["result"]["error"] == "unsupported-input"
+        assert "(3, 1, 1, False) would test 5565120 candidates" in (
+            env["result"]["message"]
+        )
+
     def test_no_seed_flag(self, capsys, type_file):
         with pytest.raises(SystemExit):
             run(["compute", "--type", type_file(T266), "--seed", "1"])

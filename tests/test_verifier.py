@@ -567,6 +567,11 @@ class TestAdmittedQueries:
             # threshold, then target, then the type
             (False, 2.5, "threshold must be an integer, got False"),
             (14, True, "target must be an integer, got True"),
+            # a negative threshold is refused whatever the target
+            (-1, 0, "threshold must be >= 0, got -1"),
+            (-1, -3, "threshold must be >= 0, got -1"),
+            (-1, 2, "threshold must be >= 0, got -1"),
+            (-1, 2.0, "threshold must be >= 0, got -1"),
         ],
     )
     def test_bool_or_float_arguments_raise_in_order(self, threshold, target, message):
@@ -796,12 +801,39 @@ class TestEnumeration:
         ids=["enumerate", "material-sweep", "sharp"],
     )
     def test_guard_estimates_every_cell_before_any_runs(self, run):
-        # at default bounds the (0, 1, 0) cell alone would test ~38.6
-        # million tame multisets; it is refused before the (0, 0, 0) walk
+        # at default bounds the (0, 1, 0) cell alone would test 38,608,020
+        # tame multisets; it is refused before the (0, 0, 0) walk
         start = time.perf_counter()
         with pytest.raises(UnsupportedInputError, match=re.escape("(0, 1, 0, False)")):
             run(EnumerationBounds())
         assert time.perf_counter() - start < 5
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            enumerate_types,
+            lambda bounds: verify_all(bounds, materialize_all=True),
+            lambda bounds: find_sharp_cases(bounds, "p13-equals-1"),
+        ],
+        ids=["enumerate", "material-sweep", "sharp"],
+    )
+    def test_wild_cell_past_the_guard_is_refused_before_any_cell_runs(
+        self, run, monkeypatch
+    ):
+        # the first shape of the (3, 1, 1) cell, one wild fibre beside five
+        # free slots, gives 278,256 candidates; the cell's exact total is
+        # 5,565,120, so it is refused before any cell builds a type
+        from plurigenera import verifier
+
+        def no_cell(*args):
+            raise AssertionError("a cell ran before every total was checked")
+
+        monkeypatch.setattr(verifier, "_cell_types", no_cell)
+        start = time.perf_counter()
+        message = "cell (3, 1, 1, False) would test 5565120 candidates, more than"
+        with pytest.raises(UnsupportedInputError, match=re.escape(message)):
+            run(EnumerationBounds(30, 6, 2, (3,)))
+        assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_wild_shapes_partition_the_raw_combinations(self, p):
@@ -1296,13 +1328,56 @@ class TestCountedCells:
     ]
 
     def test_multiset_estimate_is_the_multiset_count(self):
-        # the closed form of _check_estimates: the multisets of at most s
-        # values from 2..n
+        # the companions' factor of _candidate_total: the multisets of at
+        # most s values from 2..n
         from plurigenera.verifier import _multisets_upto
 
         for n in range(2, 13):
             for s in range(6):
                 assert comb(n - 1 + s, s) == len(list(_multisets_upto(n, s)))
+
+    def test_candidate_total_is_the_total_the_guard_reaches(self, monkeypatch):
+        # for every cell and cap whose companions are not drawn from the
+        # condition-U walk, the running count of _cell_candidates ends at
+        # the closed form: one more guard step refuses the cell.  The
+        # bounds reach t = 5 (partitions with two runs, such as 1 + 2 and
+        # 1 + 1 + 3), quasi-elliptic cells, and two to five fibres
+        from plurigenera import verifier
+        from plurigenera.verifier import _candidate_total, _cell_candidates, _cell_order
+
+        all_bounds = [
+            EnumerationBounds(6, 4, 4, (2, 3)),
+            EnumerationBounds(8, 3, 3, (2, 3, 5)),
+            EnumerationBounds(4, 5, 5, (2,)),
+            EnumerationBounds(12, 2, 4, (3, 5)),
+        ]
+        checked = set()
+        for bounds, cell in (
+            (bounds, cell) for bounds in all_bounds for cell in _cell_order(bounds)
+        ):
+            _, chi, t, quasi = cell
+            u_applies = chi == 0 and not quasi
+            for cap in range(bounds.max_fibres + 1):
+                if cap and u_applies:
+                    continue
+                monkeypatch.setattr(verifier, "MATERIAL_GUARD", 10**18)
+                total = _candidate_total(bounds, cell, cap)
+                weights = sum(w for _, w, _ in _cell_candidates(bounds, cell, cap))
+                assert weights == total or u_applies, (cell, cap)
+                assert weights <= total
+                monkeypatch.setattr(verifier, "MATERIAL_GUARD", total)
+                assert _candidate_total(bounds, cell, cap) == total
+                for _ in _cell_candidates(bounds, cell, cap):
+                    pass
+                if total:
+                    monkeypatch.setattr(verifier, "MATERIAL_GUARD", total - 1)
+                    with pytest.raises(UnsupportedInputError, match="would test"):
+                        _candidate_total(bounds, cell, cap)
+                    with pytest.raises(UnsupportedInputError, match="exceeds"):
+                        for _ in _cell_candidates(bounds, cell, cap):
+                            pass
+                    checked.add((t >= 3, quasi, u_applies))
+        assert checked >= {(True, False, False), (True, True, False), (True, False, True)}
 
     @pytest.mark.parametrize("bounds", BOUNDS + SMALL_BOUNDS)
     def test_count_matches_built_types(self, bounds):
