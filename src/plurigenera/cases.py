@@ -101,16 +101,23 @@ class StatementCheck:
         return self.series[13]
 
     @property
-    def failed(self) -> tuple[str, ...]:
-        """Names of the statements that do not hold, in order."""
+    def statements(self) -> tuple[bool, int | None, int | None, bool]:
+        """(stmt1, stmt2_witness, stmt3_witness, stmt4): P_12 >= 2, the
+        least n <= 4 with P_n >= 1, the least n <= 8 with P_n >= 2 (``None``
+        when there is none), and P_n >= 2 for every n >= 14."""
         first1, first2 = self.first_ge1, self.first_ge2
-        holds = (
+        return (
             self.p12 >= 2,
-            first1 is not None and first1 <= 4,
-            first2 is not None and first2 <= 8,
+            first1 if first1 is not None and first1 <= 4 else None,
+            first2 if first2 is not None and first2 <= 8 else None,
             self.tail,
         )
-        return tuple(f"stmt{i}" for i, ok in enumerate(holds, start=1) if not ok)
+
+    @property
+    def failed(self) -> tuple[str, ...]:
+        """Names of the statements that do not hold, in order (a witness
+        is n >= 1, so only a missing one is falsy)."""
+        return tuple(f"stmt{i}" for i, ok in enumerate(self.statements, 1) if not ok)
 
 
 @dataclass(frozen=True, slots=True)

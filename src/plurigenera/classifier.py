@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidInputError, _check_bool, _check_int
+from .errors import InvalidInputError, _check_bool, _check_int, _check_record
 from .model import validate_characteristic
 
 KOD_CLASSES = ("I", "II", "III", "IV")
@@ -68,6 +68,7 @@ def classify(inv: SurfaceInvariants) -> KodairaClass:
     """P_12 = 0: ruled.  P_12 = 1: Kodaira dimension zero.  P_12 >= 2:
     properly (quasi-)elliptic when the minimal model has K^2 = 0, general
     type when K^2 > 0."""
+    _check_record(inv, SurfaceInvariants)
     if inv.p12 == 0:
         return KodairaClass("I")
     if inv.p12 == 1:
@@ -83,6 +84,7 @@ def classify(inv: SurfaceInvariants) -> KodairaClass:
 def classify_kod0_subtype(inv: SurfaceInvariants) -> str:
     """Resolve the Kodaira-dimension-zero families when the classical
     table applies; small-characteristic exotics stay unresolved."""
+    _check_record(inv, SurfaceInvariants)
     if inv.p12 != 1:
         raise InvalidInputError("subtype classification needs P_12 = 1")
     if inv.pg == 1 and inv.q == 2:
@@ -96,9 +98,9 @@ def classify_kod0_subtype(inv: SurfaceInvariants) -> str:
     return "unresolved"
 
 
-def torsion_solutions(max_mult: int = 24, max_terms: int = 6) -> tuple[tuple[int, ...], ...]:
-    """All multiplicity tuples with sum (1 - 1/m_j) = 2, found by bounded
-    search and checked against the known list."""
+def torsion_solutions() -> tuple[tuple[int, ...], ...]:
+    """All multiplicity tuples with sum (1 - 1/m_j) = 2, found by search
+    over m_j <= 24 and at most 6 terms and checked against the known list."""
     target = Fraction(2)
     found: list[tuple[int, ...]] = []
 
@@ -106,9 +108,9 @@ def torsion_solutions(max_mult: int = 24, max_terms: int = 6) -> tuple[tuple[int
         if remaining == 0:
             found.append(tuple(prefix))
             return
-        if len(prefix) >= max_terms or remaining < 0:
+        if len(prefix) >= 6 or remaining < 0:
             return
-        for m in range(last, max_mult + 1):
+        for m in range(last, 25):
             term = 1 - Fraction(1, m)
             if term > remaining:
                 break

@@ -100,8 +100,7 @@ def _render_csv(rows: list[dict]) -> str:
     buf = io.StringIO()
     writer = _csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue().rstrip("\n")
 
 
@@ -111,13 +110,8 @@ def _render_table(rows: list[dict]) -> str:
     cols = list(rows[0].keys())
     cells = [[str(r.get(c, "")) for c in cols] for r in rows]
     widths = [max(len(c), *(len(row[i]) for row in cells)) for i, c in enumerate(cols)]
-    lines = [
-        "  ".join(c.ljust(w) for c, w in zip(cols, widths)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in cells:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
+    lines = [cols, ["-" * w for w in widths], *cells]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(line, widths)) for line in lines)
 
 
 def _type_brief(d: dict) -> str:

@@ -27,6 +27,7 @@ from .errors import (
     UnsupportedInputError,
     _check_int,
     _check_ints,
+    _check_record,
     _int_text,
 )
 
@@ -83,6 +84,7 @@ def check_condition_U(inst: ConditionUInstance) -> bool:
     nu_i*M/m_i and the M/m_j (j != i); solvability is divisibility of
     M/m_i by the subgroup's generator gcd.
     """
+    _check_record(inst, ConditionUInstance)
     big_m = lcm(*inst.m)
     weights = [big_m // m_j for m_j in inst.m]
     i = inst.i - 1
@@ -95,6 +97,8 @@ def check_condition_U_bruteforce(
 ) -> bool:
     """Exhaustive search over residues modulo each m_j; the independent
     oracle for ``check_condition_U``."""
+    _check_record(inst, ConditionUInstance)
+    _check_int("max_combos", max_combos)
     i = inst.i - 1
     big_m = lcm(*inst.m)
     combos = 1
@@ -121,6 +125,9 @@ def check_condition_U_bruteforce(
 def check_all_U(fibration) -> bool:
     """Conjunction of U_i over all multiple fibres of an elliptic
     fibration over the projective line with chi = 0."""
+    from .model import _check_type  # here: model imports this module
+
+    _check_type(fibration)
     if fibration.g != 0 or fibration.chi != 0:
         raise UnsupportedInputError("condition U applies only when g = 0 and chi = 0")
     if fibration.quasi_elliptic:

@@ -52,6 +52,12 @@ def _check_int(name: str, value, minimum=None, maximum=None) -> int:
     return value
 
 
+def _check_record(value, cls) -> None:
+    """``InvalidInputError`` unless ``value`` is a ``cls`` instance."""
+    if not isinstance(value, cls):
+        raise InvalidInputError(f"expected {cls.__name__}, got {type(value).__name__}")
+
+
 def _check_bool(name: str, value) -> None:
     """``InvalidInputError`` unless ``value`` is a bool: no truthy stand-in."""
     if not isinstance(value, bool):

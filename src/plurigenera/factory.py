@@ -14,8 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .errors import InvalidInputError, UnsupportedInputError, _check_ints, _check_tuple
-from .model import FibrationNumericalType, FibreDatum, factorization
+from .errors import (
+    InvalidInputError,
+    UnsupportedInputError,
+    _check_ints,
+    _check_record,
+    _check_tuple,
+)
+from .model import FibrationNumericalType, factorization
 
 # The generation check visits every element of the group, so larger
 # groups are refused before it runs.
@@ -80,15 +86,9 @@ def cover_to_type(data: AbelianGroupData) -> FibrationNumericalType:
     """The tame genus-zero type with one multiple fibre per nontrivial
     local monodromy, of multiplicity its order.  Admissibility (slope
     positivity in particular) is checked downstream, not here."""
-    multiplicities = [
+    _check_record(data, AbelianGroupData)
+    return FibrationNumericalType.tame_type(
         data.element_order(g) for g in data.monodromies if data.element_order(g) > 1
-    ]
-    return FibrationNumericalType(
-        p=0,
-        g=0,
-        chi=0,
-        quasi_elliptic=False,
-        fibres=tuple(FibreDatum.tame(m) for m in multiplicities),
     )
 
 
@@ -96,6 +96,7 @@ def bad_characteristics(data: AbelianGroupData) -> tuple[int, ...]:
     """Advisory: primes dividing some local monodromy order.  The cover
     construction is only guaranteed to behave away from these; the
     emitted type still carries characteristic zero."""
+    _check_record(data, AbelianGroupData)
     primes = {
         q for g in data.monodromies for q, _ in factorization(data.element_order(g))
     }
@@ -104,6 +105,7 @@ def bad_characteristics(data: AbelianGroupData) -> tuple[int, ...]:
 
 def riemann_hurwitz_genus(data: AbelianGroupData) -> int:
     """Genus of the cover curve: 2g - 2 = |G| (-2 + sum (1 - 1/m_j))."""
+    _check_record(data, AbelianGroupData)
     rhs = Fraction(-2)
     for g in data.monodromies:
         m = data.element_order(g)

@@ -18,7 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvalidInputError, UnsupportedInputError, _int_text
+from .errors import (
+    InvalidInputError,
+    UnsupportedInputError,
+    _check_bool,
+    _check_int,
+    _int_text,
+)
 from .model import FIBRE_RULE_CACHE_SIZE, is_prime
 
 # The largest p**e of a wild fibre whose torsion lengths are derived: the
@@ -71,6 +77,9 @@ def admissible_coefficients(
     t=2: {m-1, m-1-nu, m-1-2nu, m-1-(p+1)nu}.  t >= 3: every a with
     nu | a+1, flagged as not sharp.  Negative values are dropped.
     """
+    for name, value in (("m", m), ("nu", nu), ("p", p), ("t", t)):
+        _check_int(name, value)
+    _check_bool("h1_at_most_one", h1_at_most_one)
     if m < 2 or nu < 1 or t < 0:
         raise InvalidInputError(
             f"bad fibre data m={_int_text(m)}, nu={_int_text(nu)}, t={_int_text(t)}"
@@ -94,7 +103,8 @@ def admissible_coefficients(
     return CoefficientSet(frozenset(a for a in raw if a >= 0), True)
 
 
-@lru_cache(maxsize=FIBRE_RULE_CACHE_SIZE)
+# typed: 2.0 or True does not hit the entry of 2 or 1, so it is checked
+@lru_cache(maxsize=FIBRE_RULE_CACHE_SIZE, typed=True)
 def achievable_torsion_lengths(nu: int, e: int, p: int) -> frozenset[int]:
     """Torsion lengths t realizable by some jump profile on m = nu*p^e.
 
@@ -102,6 +112,8 @@ def achievable_torsion_lengths(nu: int, e: int, p: int) -> frozenset[int]:
     first jump nu + 1 falls beyond m = nu).  Raises
     ``UnsupportedInputError`` past p**e = ``MAX_WILD_POWER``.
     """
+    for name, value in (("nu", nu), ("e", e), ("p", p)):
+        _check_int(name, value)
     if not is_prime(p) or nu < 1 or e < 0:
         raise InvalidInputError(
             f"bad wild data nu={_int_text(nu)}, e={_int_text(e)}, p={_int_text(p)}"

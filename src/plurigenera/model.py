@@ -43,6 +43,7 @@ from .errors import (
     UnsupportedInputError,
     _check_bool,
     _check_int,
+    _check_record,
     _check_tuple,
     _int_text,
 )
@@ -90,8 +91,7 @@ MAX_CHARACTERISTIC = 10**9
 def validate_characteristic(p: int) -> int:
     """A characteristic is 0 or a prime number; one past
     ``MAX_CHARACTERISTIC`` raises ``UnsupportedInputError``."""
-    if not isinstance(p, int) or isinstance(p, bool):
-        raise InvalidInputError(f"characteristic must be an integer, got {p!r}")
+    _check_int("characteristic", p)
     if p > MAX_CHARACTERISTIC:
         raise UnsupportedInputError(
             f"characteristic {_int_text(p)} exceeds "
@@ -314,12 +314,9 @@ class FibrationNumericalType:
 
 
 def _check_type(t) -> None:
-    """``InvalidInputError`` unless ``t`` is a ``FibrationNumericalType``:
-    the one check of the public calls that take a type."""
-    if not isinstance(t, FibrationNumericalType):
-        raise InvalidInputError(
-            f"expected a FibrationNumericalType, got {type(t).__name__}"
-        )
+    """``InvalidInputError`` unless ``t`` is a ``FibrationNumericalType``."""
+    if not isinstance(t, FibrationNumericalType):  # a type pays no second call
+        _check_record(t, FibrationNumericalType)
 
 
 @dataclass(frozen=True, slots=True)
@@ -345,6 +342,7 @@ class PlurigenusValue:
 def delta_degree(t: FibrationNumericalType) -> int:
     """Degree d = 2g - 2 + chi + t of the base divisor in the canonical
     bundle formula."""
+    _check_type(t)
     return 2 * t.g - 2 + t.chi + t.torsion_length
 
 
@@ -354,8 +352,7 @@ def slope(t: FibrationNumericalType) -> Fraction:
     Positive slope is the admissibility surrogate for Kodaira dimension
     one on a relatively minimal fibration with K^2 = 0.
     """
-    _check_type(t)
-    s = Fraction(delta_degree(t))
+    s = Fraction(delta_degree(t))  # checks t
     for f in t.fibres:
         s += Fraction(f.a, f.m)
     return s
@@ -399,6 +396,7 @@ def exact_form(t: FibrationNumericalType) -> QuasiLinearForm:
 def plurigenus(t: FibrationNumericalType, n: int) -> PlurigenusValue:
     """The n-th plurigenus: exact for g = 0, the strongest applicable
     lower bound (flagged) for g >= 1."""
+    _check_type(t)
     _check_int("n", n, 0)
     if n == 0:
         return PlurigenusValue(0, 1, True)
@@ -415,6 +413,7 @@ def plurigenera_series(t: FibrationNumericalType, n_max: int) -> list[Plurigenus
     """P_0 .. P_n_max, exact or flagged as ``plurigenus`` flags them, from
     one pass over ``plurigenus_form``; raises ``InvalidInputError`` past
     ``MAX_SERIES_N``."""
+    _check_type(t)
     _check_int("n_max", n_max, 0, MAX_SERIES_N)
     values = plurigenus_form(t).series(n_max)
     return [PlurigenusValue(n, v, n == 0 or t.g == 0) for n, v in enumerate(values)]

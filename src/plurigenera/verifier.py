@@ -21,11 +21,10 @@ counted cells (``_count_certified``) and the cell executor
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, count, groupby, product
 from math import comb, gcd, lcm, prod
-from operator import itemgetter
 
 from .cases import (
     StatementCheck,
@@ -44,6 +43,7 @@ from .errors import (
     UnsupportedInputError,
     _check_bool,
     _check_int,
+    _check_record,
     _check_tuple,
     _int_text,
 )
@@ -189,15 +189,7 @@ class MainTheoremReport:
     series: tuple[int, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "p12": self.p12,
-            "stmt1": self.stmt1,
-            "stmt2_witness": self.stmt2_witness,
-            "stmt3_witness": self.stmt3_witness,
-            "stmt4": self.stmt4,
-            "exact": self.exact,
-            "series": list(self.series),
-        }
+        return {**asdict(self), "series": list(self.series)}
 
 
 # [type, form, lcm, check]: the last type admitted, its plurigenus form,
@@ -255,16 +247,7 @@ def verify_main_theorem(t: FibrationNumericalType) -> MainTheoremReport:
     if check is None:
         upto = 14 + 2 * period if period <= 120 else 40
         check = memo[3] = _statement_check(form, upto)
-    first1, first2 = check.first_ge1, check.first_ge2
-    return MainTheoremReport(
-        p12=check.p12,
-        stmt1=check.p12 >= 2,
-        stmt2_witness=first1 if first1 is not None and first1 <= 4 else None,
-        stmt3_witness=first2 if first2 is not None and first2 <= 8 else None,
-        stmt4=check.tail,
-        exact=t.g == 0,
-        series=check.series,
-    )
+    return MainTheoremReport(check.p12, *check.statements, t.g == 0, check.series)
 
 
 def verify_tail(t: FibrationNumericalType, threshold: int, target: int) -> bool:
@@ -315,14 +298,7 @@ class EnumerationBounds:
         object.__setattr__(self, "characteristics", tuple(ps))
 
     def to_dict(self) -> dict:
-        return {
-            "max_mult": self.max_mult,
-            "max_fibres": self.max_fibres,
-            "max_chi_plus_t": self.max_chi_plus_t,
-            "characteristics": list(self.characteristics),
-            "include_wild": self.include_wild,
-            "include_quasi_elliptic": self.include_quasi_elliptic,
-        }
+        return {**asdict(self), "characteristics": list(self.characteristics)}
 
 
 @lru_cache(maxsize=FIBRE_RULE_CACHE_SIZE)
@@ -495,10 +471,7 @@ def _covered_companions(max_mult: int, max_size: int, wilds):
 def _cell_order(bounds: EnumerationBounds):
     """Cells (p, chi, t, quasi_elliptic) for the genus-zero enumeration;
     the one check that the public sweeps were given bounds."""
-    if not isinstance(bounds, EnumerationBounds):
-        raise InvalidInputError(
-            f"expected EnumerationBounds, got {type(bounds).__name__}"
-        )
+    _check_record(bounds, EnumerationBounds)
     cells = []
     for p in bounds.characteristics:
         for chi in range(bounds.max_chi_plus_t + 1):
@@ -606,39 +579,35 @@ def _cell_types(bounds: EnumerationBounds, cell, max_tame: int):
 
     Of the rules of ``is_admissible`` only the slope is left to test
     (README, "The sweep"); it is tested on integers, with one L = lcm(m)
-    per (shape, companion).  The survivors are sorted by flat integer keys
-    (the canonical ``sort_key`` compares the number of fibres, then the
-    fibres' ``_FIBRE_ORDER`` (m, nu, t, a) in turn; within a cell
-    m = nu*p^e fixes e) and only then built.
-    Companions come in ascending m, which is the canonical order of tame
-    fibres, so a tame-only candidate needs no sorting."""
+    per (shape, companion).  Each survivor is built at once, and the
+    constructor puts its fibres in canonical order; the built list is then
+    sorted once by flat integer keys read from those fibres (the canonical
+    ``sort_key`` compares the number of fibres, then the fibres'
+    ``_FIBRE_ORDER`` (m, nu, t, a) in turn; within a cell m = nu*p^e
+    fixes e)."""
     p, chi, t, quasi = cell
     d = chi + t - 2  # the base degree of every type of the cell
     found = []
-
-    def keep(fibres, doubt):
-        key = (len(fibres), *chain.from_iterable(map(_FIBRE_ORDER, fibres)))
-        found.append((key, fibres, doubt))
-
     for shape, _, comp in _cell_candidates(bounds, cell, max_tame):
         tames = tuple(map(_tame_fibre, comp))
         big_l = lcm(*(m for m, _, _ in shape), *comp)
         tame_part = d * big_l + sum((m - 1) * (big_l // m) for m in comp)
         if not shape:
             if tame_part > 0:
-                keep(tames, False)
+                found.append(FibrationNumericalType(p, 0, chi, quasi, tames))
             continue
         scales = [big_l // m for m, _, _ in shape]
         r = len(shape) + len(comp)
         doubt = _existence_unknown(chi, 0, r, [fs[0].t for _, _, fs in shape])
         for wilds in _expand(shape):
             if tame_part + sum(f.a * s for f, s in zip(wilds, scales)) > 0:
-                keep(tuple(sorted(wilds + tames, key=_FIBRE_ORDER)), doubt)
-    found.sort(key=itemgetter(0))
-    return [
-        FibrationNumericalType(p, 0, chi, quasi, fibres, doubt)
-        for _, fibres, doubt in found
-    ]
+                found.append(
+                    FibrationNumericalType(p, 0, chi, quasi, wilds + tames, doubt)
+                )
+    found.sort(
+        key=lambda ty: (len(ty.fibres), *chain.from_iterable(map(_FIBRE_ORDER, ty.fibres)))
+    )
+    return found
 
 
 def _cell_types_material(bounds: EnumerationBounds, cell):

@@ -1,5 +1,6 @@
 """The twelfth-plurigenus decision table and the torsion-tuple search."""
 
+import inspect
 from fractions import Fraction
 from math import lcm
 
@@ -91,3 +92,7 @@ class TestTorsionSolutions:
         for tup in tuples:
             overall = lcm(overall, *tup)
         assert overall == 12
+
+    def test_takes_no_parameters(self):
+        # the search box is fixed: m <= 24 and at most 6 terms
+        assert not inspect.signature(torsion_solutions).parameters

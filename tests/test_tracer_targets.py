@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from plurigenera import fibre_local
 from plurigenera.congruence import QuasiLinearForm
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -50,3 +51,8 @@ def test_wrapped_generator_exists(owner, attr, layer):
 def test_form_value_exists():
     # patched apart from the tables, to count the scan window of eventually_at_least
     assert callable(vars(QuasiLinearForm).get("value"))
+
+
+def test_torsion_length_cache_info_exists():
+    # read on every traced run for fibre_local.achievable_torsion_lengths.hit_ratio
+    assert callable(getattr(fibre_local.achievable_torsion_lengths, "cache_info", None))
