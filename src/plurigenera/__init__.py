@@ -33,7 +33,6 @@ from .factory import (
     riemann_hurwitz_genus,
 )
 from .fibre_local import (
-    CoefficientSet,
     achievable_torsion_lengths,
     admissible_coefficients,
 )
@@ -61,7 +60,6 @@ from .verifier import (
 __all__ = [
     "AbelianGroupData",
     "AdmissibilityReport",
-    "CoefficientSet",
     "ConditionUInstance",
     "EnumerationBounds",
     "FibrationNumericalType",

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidInputError, _check_bool, _check_int, _check_record
+from .errors import InvalidInputError, _check_int, _check_record
 from .model import validate_characteristic
 
 KOD_CLASSES = ("I", "II", "III", "IV")
@@ -23,7 +23,6 @@ TORSION_TUPLES = ((2, 2, 2, 2), (2, 3, 6), (2, 4, 4), (3, 3, 3))
 class SurfaceInvariants:
     p12: int
     k2_min: int
-    minimal: bool = True
     pg: int = 0
     q: int = 0
     canonical_torsion: int | None = None
@@ -34,7 +33,6 @@ class SurfaceInvariants:
             _check_int(name, getattr(self, name))
         if self.canonical_torsion is not None:
             _check_int("canonical_torsion", self.canonical_torsion)
-        _check_bool("minimal", self.minimal)
         if self.p12 < 0 or self.pg < 0 or self.q < 0:
             raise InvalidInputError("p12, pg, q must be nonnegative")
         validate_characteristic(self.p)

@@ -35,6 +35,7 @@ from .factory import (
 )
 from .model import FibrationNumericalType, plurigenera_series, slope
 from .verifier import (
+    _PREDICATES,
     EnumerationBounds,
     enumerate_types,
     find_sharp_cases,
@@ -75,10 +76,11 @@ def _bounds_from_args(args) -> EnumerationBounds:
 
 
 def _add_bounds_flags(sub):
-    sub.add_argument("--max-mult", type=int, default=30)
-    sub.add_argument("--max-fibres", type=int, default=8)
-    sub.add_argument("--max-chi-plus-t", type=int, default=4)
-    sub.add_argument("--characteristics", default="0,2,3,5,7")
+    default = EnumerationBounds()
+    sub.add_argument("--max-mult", type=int, default=default.max_mult)
+    sub.add_argument("--max-fibres", type=int, default=default.max_fibres)
+    sub.add_argument("--max-chi-plus-t", type=int, default=default.max_chi_plus_t)
+    sub.add_argument("--characteristics", default=",".join(map(str, default.characteristics)))
     sub.add_argument("--no-wild", action="store_true")
     sub.add_argument("--no-quasi-elliptic", action="store_true")
 
@@ -231,7 +233,7 @@ def run(argv=None) -> int:
     p_sharp.add_argument(
         "--predicate",
         required=True,
-        choices=("p123-zero", "pn-le-1-through-7", "p13-equals-1"),
+        choices=tuple(_PREDICATES),
     )
 
     p_classify = sub.add_parser(
@@ -243,7 +245,6 @@ def run(argv=None) -> int:
     p_classify.add_argument("--q", type=int, default=0)
     p_classify.add_argument("--torsion", type=int, default=None)
     p_classify.add_argument("--char", type=int, default=0)
-    p_classify.add_argument("--non-minimal", action="store_true")
     p_classify.add_argument(
         "--torsion-solutions",
         action="store_true",
@@ -341,7 +342,6 @@ def _dispatch(args) -> int:
         inv = SurfaceInvariants(
             p12=args.p12,
             k2_min=args.k2,
-            minimal=not args.non_minimal,
             pg=args.pg,
             q=args.q,
             canonical_torsion=args.torsion,

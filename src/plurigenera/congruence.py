@@ -92,21 +92,18 @@ def check_condition_U(inst: ConditionUInstance) -> bool:
     return _u_holds(big_m, weights[i], inst.nu[i], others)
 
 
-def check_condition_U_bruteforce(
-    inst: ConditionUInstance, max_combos: int = DEFAULT_ORACLE_BOUND
-) -> bool:
+def check_condition_U_bruteforce(inst: ConditionUInstance) -> bool:
     """Exhaustive search over residues modulo each m_j; the independent
-    oracle for ``check_condition_U``."""
+    oracle for ``check_condition_U``, refused past ``DEFAULT_ORACLE_BOUND``."""
     _check_record(inst, ConditionUInstance)
-    _check_int("max_combos", max_combos)
     i = inst.i - 1
     big_m = lcm(*inst.m)
     combos = 1
     for j, m_j in enumerate(inst.m):
         combos *= (m_j // inst.nu[j]) if j == i else m_j
-        if combos > max_combos:  # stop before the product grows huge
+        if combos > DEFAULT_ORACLE_BOUND:  # stop before the product grows huge
             raise OracleBoundExceededError(
-                f"the residue combinations exceed the oracle bound {max_combos}"
+                f"the residue combinations exceed the oracle bound {DEFAULT_ORACLE_BOUND}"
             )
     weights = [big_m // m_j for m_j in inst.m]
     ranges = [

@@ -10,12 +10,12 @@ growth choice is the only nondeterminism; order growth never happens off
 a jump.  This reproduces the known first jumping value nu + 1 and the
 second-jump dichotomy {2*nu + 1, (p+1)*nu + 1}.  The torsion length is
 the number of jumps within m; ``achievable_torsion_lengths`` derives the
-set of lengths from the walk's states without listing the walks.
+set of lengths from the walk's states without listing the walks.  Both
+functions check p with ``model.validate_characteristic``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
@@ -25,28 +25,13 @@ from .errors import (
     _check_int,
     _int_text,
 )
-from .model import FIBRE_RULE_CACHE_SIZE, is_prime
+from .model import FIBRE_RULE_CACHE_SIZE, validate_characteristic
 
 # The largest p**e of a wild fibre whose torsion lengths are derived: the
 # forced walk visits about p**e * e states and keeps a p**e-bit set per
 # state (on a 2-core x86-64 VM with Python 3.11: 0.14 s and 26 MB at
 # 2**12, 5.7 s and 723 MB at 2**16).
 MAX_WILD_POWER = 2**12
-
-
-@dataclass(frozen=True, slots=True)
-class CoefficientSet:
-    """Admissible canonical coefficients; ``sharp`` is false when no rule
-    narrows the divisibility-constrained superset (t >= 3)."""
-
-    values: frozenset[int]
-    sharp: bool
-
-    def __contains__(self, a: int) -> bool:
-        return a in self.values
-
-    def sorted(self) -> list[int]:
-        return sorted(self.values)
 
 
 def _power_exponent(m: int, nu: int, p: int) -> int:
@@ -69,13 +54,14 @@ def _power_exponent(m: int, nu: int, p: int) -> int:
 
 def admissible_coefficients(
     m: int, nu: int, p: int, t: int, h1_at_most_one: bool = False
-) -> CoefficientSet:
+) -> frozenset[int]:
     """The set of canonical coefficients a allowed for a fibre with the
     given multiplicity, torsion order, and torsion length t.
 
     Tame (t=0): {m-1}.  t=1, or h^1(O_S) <= 1: {m-1, m-1-nu}.
-    t=2: {m-1, m-1-nu, m-1-2nu, m-1-(p+1)nu}.  t >= 3: every a with
-    nu | a+1, flagged as not sharp.  Negative values are dropped.
+    t=2: {m-1, m-1-nu, m-1-2nu, m-1-(p+1)nu}.  t >= 3: no sharp rule, the
+    divisibility superset of every a with nu | a+1.  Negative values are
+    dropped.
     """
     for name, value in (("m", m), ("nu", nu), ("p", p), ("t", t)):
         _check_int(name, value)
@@ -84,14 +70,15 @@ def admissible_coefficients(
         raise InvalidInputError(
             f"bad fibre data m={_int_text(m)}, nu={_int_text(nu)}, t={_int_text(t)}"
         )
+    validate_characteristic(p)
     if t == 0:
         if nu != m:
             raise InvalidInputError(
                 f"tame fibres carry torsion order nu = m, "
                 f"got nu={_int_text(nu)}, m={_int_text(m)}"
             )
-        return CoefficientSet(frozenset({m - 1}), True)
-    if p == 0 or not is_prime(p):
+        return frozenset({m - 1})
+    if p == 0:
         raise InvalidInputError("wild fibres need prime characteristic")
     _power_exponent(m, nu, p)
     if t == 1 or h1_at_most_one:
@@ -99,8 +86,8 @@ def admissible_coefficients(
     elif t == 2:
         raw = {m - 1, m - 1 - nu, m - 1 - 2 * nu, m - 1 - (p + 1) * nu}
     else:
-        return CoefficientSet(frozenset(range(nu - 1, m, nu)), False)
-    return CoefficientSet(frozenset(a for a in raw if a >= 0), True)
+        return frozenset(range(nu - 1, m, nu))
+    return frozenset(a for a in raw if a >= 0)
 
 
 # typed: 2.0 or True does not hit the entry of 2 or 1, so it is checked
@@ -114,7 +101,7 @@ def achievable_torsion_lengths(nu: int, e: int, p: int) -> frozenset[int]:
     """
     for name, value in (("nu", nu), ("e", e), ("p", p)):
         _check_int(name, value)
-    if not is_prime(p) or nu < 1 or e < 0:
+    if validate_characteristic(p) == 0 or nu < 1 or e < 0:
         raise InvalidInputError(
             f"bad wild data nu={_int_text(nu)}, e={_int_text(e)}, p={_int_text(p)}"
         )

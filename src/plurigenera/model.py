@@ -80,7 +80,7 @@ def is_prime(n: int) -> bool:
 
 # The positive characteristics the type constructor accepts without a
 # primality test; any other value goes through ``validate_characteristic``.
-_SMALL_PRIMES = frozenset(q for q in range(2, 100) if all(q % d for d in range(2, q)))
+_SMALL_PRIMES = frozenset(filter(is_prime, range(100)))
 
 # The largest characteristic accepted.  Primality is decided by trial
 # division, about sqrt(p) steps: a few milliseconds at this bound, more
@@ -155,16 +155,6 @@ class FibreDatum:
         if type(m) is not int or m < 2:
             _check_int("m", m, 2)
         return _tame_fibre(m)
-
-    @classmethod
-    def wild_fibre(cls, p: int, nu: int, e: int, t: int, a: int) -> "FibreDatum":
-        """Wild fibre with multiplicity nu * p**e."""
-        validate_characteristic(p)
-        if p == 0:
-            raise InvalidInputError("wild fibres need positive characteristic")
-        _check_int("e", e, 1)
-        _check_int("t", t, 1)
-        return cls(m=nu * p**e, a=a, nu=nu, e=e, t=t)
 
     def to_dict(self) -> dict:
         return {"m": self.m, "a": self.a, "nu": self.nu, "e": self.e, "t": self.t}

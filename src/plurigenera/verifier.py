@@ -316,7 +316,7 @@ def _wild_data(p: int, t_j: int, max_mult: int) -> tuple[tuple, ...]:
             m = nu * q
             records = tuple(
                 FibreDatum(m=m, a=a, nu=nu, e=e, t=t_j)
-                for a in admissible_coefficients(m, nu, p, t_j).sorted()
+                for a in sorted(admissible_coefficients(m, nu, p, t_j))
             )
             groups.append((m, nu, records))  # never empty: a = m - 1 is allowed
     return tuple(sorted(groups, key=lambda group: group[:2]))
@@ -493,8 +493,8 @@ def _existence_unknown(chi: int, g: int, r: int, wild_ts) -> bool:
     """Whether a type with r fibres, whose wild fibres have the torsion
     lengths ``wild_ts``, is flagged: the single doubly-wild shape, and a
     type with a fibre of torsion length t_j >= 3, whose coefficient comes
-    from the divisibility superset, not a sharp rule
-    (``CoefficientSet.sharp`` is false)."""
+    from the divisibility superset of ``admissible_coefficients``, not a
+    sharp rule."""
     return any(t_j >= 3 for t_j in wild_ts) or (
         chi == 0 and g == 0 and r == 1 and list(wild_ts) == [2]
     )

@@ -42,8 +42,8 @@ SMALL = EnumerationBounds(
 
 class TestLabels:
     def test_partition(self):
-        w1 = FibreDatum.wild_fibre(p=2, nu=2, e=1, t=1, a=1)
-        w2 = FibreDatum.wild_fibre(p=2, nu=2, e=2, t=2, a=1)
+        w1 = FibreDatum(m=4, a=1, nu=2, e=1, t=1)
+        w2 = FibreDatum(m=8, a=1, nu=2, e=2, t=2)
         mk = lambda chi, fibres: FibrationNumericalType(
             p=2, g=0, chi=chi, quasi_elliptic=False, fibres=fibres
         )
@@ -65,7 +65,7 @@ class TestLabels:
     ])
     def test_negative_chi_is_outside_the_analysis(self, ms, chi, wild):
         # ``wild`` fibres of torsion length 2: the last type has chi + t = 3
-        w2 = FibreDatum.wild_fibre(p=2, nu=2, e=2, t=2, a=1)
+        w2 = FibreDatum(m=8, a=1, nu=2, e=2, t=2)
         ty = FibrationNumericalType(
             p=2, g=0, chi=chi, quasi_elliptic=False,
             fibres=(w2,) * wild + tuple(FibreDatum.tame(m) for m in ms),
@@ -207,7 +207,7 @@ class TestStatementCheck:
 
 class TestReplay:
     def test_case1_wild_alone(self):
-        w = FibreDatum.wild_fibre(p=2, nu=2, e=1, t=1, a=1)
+        w = FibreDatum(m=4, a=1, nu=2, e=1, t=1)
         t = FibrationNumericalType(p=2, g=0, chi=1, quasi_elliptic=False, fibres=(w,))
         rep = replay_type(t)
         assert rep.ok and rep.bound.pairs == ((1, 4),)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from plurigenera import EnumerationBounds
 from plurigenera.cli import run
 
 T266 = {
@@ -239,6 +240,11 @@ class TestEnumerateAndSweep:
         assert code == 0
         header = out.splitlines()[0]
         assert header.startswith("type,label,P_1")
+
+    def test_default_flags_are_the_default_bounds(self, capsys):
+        code, env = run_json(capsys, ["verify-all"])
+        assert code == 0
+        assert env["inputs"] == EnumerationBounds().to_dict()
 
 
 # a lone wild fibre with m = 5^5: its torsion-length walk is 3124 jumps deep

@@ -165,7 +165,7 @@ class TestOracleAgreement:
     def test_oracle_bound(self):
         big = inst((128, 128, 128, 128), (1, 1, 1, 1), 1)
         with pytest.raises(OracleBoundExceededError):
-            check_condition_U_bruteforce(big, max_combos=1000)
+            check_condition_U_bruteforce(big)
 
     def test_oracle_bound_past_the_digit_limit(self):
         # the product of the residue counts (10**8000) is never formed

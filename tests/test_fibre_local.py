@@ -15,25 +15,25 @@ from plurigenera import (
     admissible_coefficients,
 )
 
+BIG_P = 10**12 + 39  # a prime past MAX_CHARACTERISTIC
+
 
 class TestCoefficients:
     def test_wild_t1(self):
-        assert admissible_coefficients(4, 2, 2, 1).values == frozenset({3, 1})
+        assert admissible_coefficients(4, 2, 2, 1) == frozenset({3, 1})
 
     def test_tame(self):
-        cs = admissible_coefficients(2, 2, 0, 0)
-        assert cs.values == frozenset({1}) and cs.sharp
+        assert admissible_coefficients(2, 2, 0, 0) == frozenset({1})
 
     def test_wild_t2(self):
-        assert admissible_coefficients(8, 2, 2, 2).sorted() == [1, 3, 5, 7]
+        assert sorted(admissible_coefficients(8, 2, 2, 2)) == [1, 3, 5, 7]
 
     def test_h1_flag_narrows_t2(self):
-        assert admissible_coefficients(8, 2, 2, 2, h1_at_most_one=True).sorted() == [5, 7]
+        assert sorted(admissible_coefficients(8, 2, 2, 2, h1_at_most_one=True)) == [5, 7]
 
     def test_t3_not_sharp(self):
         cs = admissible_coefficients(16, 2, 2, 3)
-        assert not cs.sharp
-        assert all((a + 1) % 2 == 0 and 0 <= a < 16 for a in cs.values)
+        assert all((a + 1) % 2 == 0 and 0 <= a < 16 for a in cs)
 
     def test_inconsistent_data_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -61,14 +61,37 @@ class TestCoefficients:
         with pytest.raises(error, match="an integer of"):
             call()
 
+    # p goes through validate_characteristic: past MAX_CHARACTERISTIC it is
+    # refused before any primality test
+    @pytest.mark.parametrize(
+        "call, error, match",
+        [
+            (lambda: admissible_coefficients(2 * BIG_P, 2, BIG_P, 1),
+             UnsupportedInputError, "MAX_CHARACTERISTIC"),
+            (lambda: achievable_torsion_lengths(1, 1, BIG_P), UnsupportedInputError,
+             "MAX_CHARACTERISTIC"),
+            (lambda: admissible_coefficients(8, 2, 4, 1), InvalidInputError,
+             "characteristic must be 0 or prime, got 4"),
+            (lambda: admissible_coefficients(2, 2, 4, 0), InvalidInputError,
+             "characteristic must be 0 or prime, got 4"),
+            (lambda: achievable_torsion_lengths(1, 1, 4), InvalidInputError,
+             "characteristic must be 0 or prime, got 4"),
+        ],
+        ids=["coefficients-past-bound", "torsion-past-bound", "coefficients-composite",
+             "tame-coefficients-composite", "torsion-composite"],
+    )
+    def test_characteristic_is_validated(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
     @settings(max_examples=100)
     @given(st.integers(1, 6), st.integers(1, 2), st.sampled_from((2, 3, 5)),
            st.integers(1, 3))
     def test_divisibility_invariant(self, nu, e, p, t):
         m = nu * p**e
         cs = admissible_coefficients(m, nu, p, t)
-        assert all((a + 1) % nu == 0 and 0 <= a < m for a in cs.values)
-        assert m - 1 in cs.values
+        assert all((a + 1) % nu == 0 and 0 <= a < m for a in cs)
+        assert m - 1 in cs
 
 
 def profile_oracle(m, nu, p):

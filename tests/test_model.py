@@ -42,7 +42,7 @@ T266 = tame((2, 6, 6))
 T2510 = tame((2, 5, 10))
 WILD_421 = FibrationNumericalType(
     p=2, g=0, chi=1, quasi_elliptic=False,
-    fibres=(FibreDatum.wild_fibre(p=2, nu=2, e=1, t=1, a=1),),
+    fibres=(FibreDatum(m=4, a=1, nu=2, e=1, t=1),),
 )
 
 
@@ -322,7 +322,7 @@ class TestStructure:
     def test_torsion_length_is_derived_on_construction(self):
         import dataclasses
 
-        wild2 = FibreDatum.wild_fibre(p=2, nu=1, e=2, t=2, a=1)
+        wild2 = FibreDatum(m=4, a=1, nu=1, e=2, t=2)
         t = FibrationNumericalType(
             p=2, g=0, chi=1, quasi_elliptic=False,
             fibres=(wild2, FibreDatum.tame(3)),
@@ -553,7 +553,7 @@ class TestCompactLayout:
 
     WILD_3 = FibrationNumericalType(
         p=2, g=0, chi=0, quasi_elliptic=False,
-        fibres=(FibreDatum.wild_fibre(p=2, nu=1, e=2, t=2, a=1),) + WILD_421.fibres,
+        fibres=(FibreDatum(m=4, a=1, nu=1, e=2, t=2),) + WILD_421.fibres,
         existence_unknown=True,
     )
 
