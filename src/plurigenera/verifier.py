@@ -192,45 +192,58 @@ class MainTheoremReport:
         return {**asdict(self), "series": list(self.series)}
 
 
-# [type, form, lcm, check]: the last type admitted, its plurigenus form,
-# multiplicity lcm and (once read) ``StatementCheck``, changed in place.
-# Holding the frozen type keeps its id from being reused; until a type
-# is admitted, the type slot holds a marker that no caller can pass.
+# Slot 0 holds the record (type, form, lcm, report) of the last type
+# admitted: its plurigenus form, multiplicity lcm and (once read)
+# ``MainTheoremReport``.  A record is an immutable tuple, and a query
+# replaces it whole, so a query that runs in the middle of another (from
+# another thread, or re-entrantly) can cost a second admission but never
+# hands one type's report to another.  Holding the frozen type keeps its
+# id from being reused; until a type is admitted, the type slot holds a
+# marker that no caller can pass.
 _NOTHING_ADMITTED = (object(), None, 0, None)
-_last_admitted = list(_NOTHING_ADMITTED)
+_last_admitted = [_NOTHING_ADMITTED]
 
 
-def _admitted(t: FibrationNumericalType) -> list:
-    """``_last_admitted`` once it holds ``t``, or ``InadmissibleTypeError``.
-    Compared by identity: a main and a tail query of one type object admit
-    it and build its form once; an equal type built apart is admitted anew."""
-    memo = _last_admitted
-    if t is not memo[0]:
+def _admitted(t: FibrationNumericalType) -> tuple:
+    """The record of ``t`` (see ``_last_admitted``), or
+    ``InadmissibleTypeError``.  Compared by identity: a main and a tail
+    query of one type object admit it and build its form once; an equal
+    type built apart is admitted anew."""
+    record = _last_admitted[0]
+    if t is not record[0]:
         report = is_admissible(t)  # the module global, which a tracer may wrap
         if not report.admissible:
             raise InadmissibleTypeError(report.violations)
-        memo[:] = t, plurigenus_form(t), lcm(*(f.m for f in t.fibres)), None
-    return memo
+        record = t, plurigenus_form(t), lcm(*(f.m for f in t.fibres)), None
+        _last_admitted[0] = record
+    return record
 
 
 @lru_cache(maxsize=FIBRE_RULE_CACHE_SIZE)
-def _kept_check(const: int, linear: int, pairs: tuple, upto: int) -> StatementCheck:
-    form = QuasiLinearForm._trusted(const, linear, pairs)
-    return StatementCheck.from_form(form, upto)
+def _kept_report(
+    const: int, linear: int, upto: int, exact: bool, *flat: int
+) -> MainTheoremReport:
+    """The report of the form (const, linear, ((a_1, m_1), ...)) given
+    flat as a_1, m_1, ..., audited to P_upto, keyed on those plain ints:
+    the lookup hashes one flat tuple in C and keeps no form alive."""
+    form = QuasiLinearForm._trusted(const, linear, tuple(zip(flat[::2], flat[1::2])))
+    check = StatementCheck.from_form(form, upto)
+    return MainTheoremReport(check.p12, *check.statements, exact, check.series)
 
 
-def _statement_check(form: QuasiLinearForm, upto: int) -> StatementCheck:
-    """``StatementCheck.from_form`` of an admitted type's form, memoized on
-    the form's fields (hashed in C; no form object is kept) when every
-    integer of the entry fits in 63 bits: with pairs 0 <= a < m by
-    ascending m, each P_n is at most |const| + n*(|linear| + #pairs)."""
+def _report(form: QuasiLinearForm, upto: int, exact: bool) -> MainTheoremReport:
+    """The report of an admitted type's form, memoized in ``_kept_report``
+    when every integer of the entry fits in 63 bits: with pairs
+    0 <= a < m by ascending m, each P_n is at most
+    |const| + n*(|linear| + #pairs)."""
     if type(upto) is not int or upto < 14:
         _check_int("upto", upto, 14)
     pairs = form.pairs
+    flat = chain.from_iterable(pairs)
     top = abs(form.const) + upto * (abs(form.linear) + len(pairs))
     if (top | (pairs[-1][1] if pairs else 0)) >> 63:
-        return StatementCheck.from_form(form, upto)
-    return _kept_check(form.const, form.linear, pairs, upto)
+        return _kept_report.__wrapped__(form.const, form.linear, upto, exact, *flat)
+    return _kept_report(form.const, form.linear, upto, exact, *flat)
 
 
 def verify_main_theorem(t: FibrationNumericalType) -> MainTheoremReport:
@@ -239,22 +252,26 @@ def verify_main_theorem(t: FibrationNumericalType) -> MainTheoremReport:
 
     The audit series covers P_0 .. P_(14 + 2*lcm) when the multiplicity
     lcm is small enough to print (<= 120), and P_0 .. P_40 otherwise;
-    statement (4) is always decided exactly either way.  The series and
-    the statements are read from one ``StatementCheck`` of the
-    ``plurigenus_form``, shared by every type with that form."""
-    memo = _admitted(t)
-    _, form, period, check = memo
-    if check is None:
-        upto = 14 + 2 * period if period <= 120 else 40
-        check = memo[3] = _statement_check(form, upto)
-    return MainTheoremReport(check.p12, *check.statements, t.g == 0, check.series)
+    statement (4) is always decided exactly either way.  The report is
+    read from one ``StatementCheck`` of the ``plurigenus_form`` and is
+    one shared immutable object for every type with that form, audit
+    length and exactness; the record of ``t`` keeps it for a tail query
+    of the same object."""
+    record = _admitted(t)
+    _, form, period, report = record
+    if report is None:
+        report = _report(form, 14 + 2 * period if period <= 120 else 40, t.g == 0)
+        _last_admitted[0] = (*record[:3], report)
+    return report
 
 
 def verify_tail(t: FibrationNumericalType, threshold: int, target: int) -> bool:
     """Exactly decide ``P_n >= target for all n >= threshold`` (g = 0).
     The arguments are checked in order, then the type is admitted as
     ``verify_main_theorem`` admits it; right after a main query of the
-    same type object it reuses that admission, form and statement (4)."""
+    same type object it reuses that admission and form, and
+    ``verify_tail(t, 14, 2)`` reads ``stmt4`` of the report.  Other
+    thresholds and targets go through ``eventually_at_least``."""
     if type(threshold) is not int or threshold < 0:  # others are checked
         _check_int("threshold", threshold, 0)
     if type(target) is not int:
@@ -262,11 +279,11 @@ def verify_tail(t: FibrationNumericalType, threshold: int, target: int) -> bool:
     _check_type(t)
     if t.g != 0:
         raise UnsupportedInputError("verify_tail requires a genus-zero base")
-    _, form, _, check = _admitted(t)
+    _, form, _, report = _admitted(t)
     if target <= 0:
         return True
-    if check is not None and threshold == 14 and target == 2:
-        return check.tail
+    if report is not None and threshold == 14 and target == 2:
+        return report.stmt4
     return form.eventually_at_least(threshold, target)
 
 

@@ -7,6 +7,7 @@ import pkgutil
 import random
 import re
 import sys
+import threading
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -42,11 +43,12 @@ from plurigenera.fibre_local import achievable_torsion_lengths
 from plurigenera.model import FIBRE_RULE_CACHE_SIZE, factorization, plurigenus_form
 from plurigenera.verifier import (
     AdmissibilityReport,
+    MainTheoremReport,
     _existence_unknown,
     _fibre_violations,
     _h1_at_most_one,
-    _kept_check,
-    _statement_check,
+    _kept_report,
+    _report,
     _u_masks,
     _wild_data,
 )
@@ -212,7 +214,7 @@ class TestInputCaches:
             _wild_data,
             _fibre_violations,
             _u_masks,
-            _kept_check,
+            _kept_report,
         ):
             info = cache.cache_info()
             assert info.maxsize == FIBRE_RULE_CACHE_SIZE
@@ -594,7 +596,7 @@ class TestAdmittedQueries:
         from plurigenera import verifier
 
         # forget the remembered type in place, as in a fresh process
-        verifier._last_admitted[:] = verifier._NOTHING_ADMITTED
+        verifier._last_admitted[0] = verifier._NOTHING_ADMITTED
         if remembered:
             verify_main_theorem(tame((2, 6, 6)))
         with pytest.raises(InvalidInputError):
@@ -642,9 +644,9 @@ class TestAdmittedQueries:
 
 
 class TestStatementMemo:
-    """Single-type queries read their ``StatementCheck`` from a bounded
-    memo keyed on (form, audit length), shared by every type with that
-    form."""
+    """Single-type queries read their ``MainTheoremReport`` from a bounded
+    memo keyed on (form, audit length, exactness), shared by every type
+    with that form."""
 
     @staticmethod
     def _upto(t):
@@ -652,7 +654,7 @@ class TestStatementMemo:
         return 14 + 2 * period if period <= 120 else 40
 
     def test_memo_hit_equals_a_fresh_check(self):
-        _kept_check.cache_clear()
+        _kept_report.cache_clear()
         hits = 0
         # equal types built apart: each is admitted afresh, and its form
         # is found in the memo
@@ -661,39 +663,123 @@ class TestStatementMemo:
                 main = verify_main_theorem(first)
             except InadmissibleTypeError:
                 continue
-            before = _kept_check.cache_info().hits
+            before = _kept_report.cache_info().hits
             assert verify_main_theorem(again) == main
-            assert _kept_check.cache_info().hits == before + 1
+            assert _kept_report.cache_info().hits == before + 1
             hits += 1
-            form, upto = plurigenus_form(again), self._upto(again)
+            form, upto, exact = plurigenus_form(again), self._upto(again), again.g == 0
             fresh = StatementCheck.from_form(form, upto)
-            assert _statement_check(form, upto) == fresh
+            assert _report(form, upto, exact) == MainTheoremReport(
+                fresh.p12, *fresh.statements, exact, fresh.series
+            )
             assert (main.series, main.p12, main.stmt4) == (
                 fresh.series, fresh.p12, fresh.tail
             )
         assert hits > 500
 
     def test_a_huge_form_is_answered_but_not_kept(self):
-        _kept_check.cache_clear()
+        _kept_report.cache_clear()
         huge = tame((2, 3), chi=10**4297)  # a 4,298-digit chi
         report = verify_main_theorem(huge)
         assert report.stmt1 and report.stmt4 and len(report.series) == 27
         assert report.series[1] == 10**4297 - 1  # 1 + (chi - 2) + 0 + 0
-        assert _kept_check.cache_info().currsize == 0
+        assert _kept_report.cache_info().currsize == 0
         # an entry is kept only if every integer in it fits in 63 bits
         # (P_n = 1 + n*(chi - 2) + n//2 + 2n//3, so P_26 = 26*chi - 21)
         assert verify_main_theorem(tame((2, 3), chi=2**62 // 26)).series[26] < 2**62
-        assert _kept_check.cache_info().currsize == 1
+        assert _kept_report.cache_info().currsize == 1
         past = verify_main_theorem(tame((2, 3), chi=2**63 // 26 + 2))
         assert past.series[26] >= 2**63
         # small values, but a 65-bit multiplicity in the key
         assert verify_main_theorem(tame((2**64,), chi=2)).series[1:3] == (1, 2)
-        assert _kept_check.cache_info().currsize == 1
+        assert _kept_report.cache_info().currsize == 1
 
     @pytest.mark.parametrize("upto", [[14], {}, 13, -1, "20", 14.0, True, None])
     def test_bad_audit_length_is_refused_before_the_memo(self, upto):
         with pytest.raises(InvalidInputError, match="upto"):
-            _statement_check(QuasiLinearForm(1, 0, ()), upto)
+            _report(QuasiLinearForm(1, 0, ()), upto, True)
+
+    def test_exactness_is_part_of_the_key(self, monkeypatch):
+        # a g = 2 and a g = 0 type with one form, (1, 1, ()), and one
+        # audit length, 16: only ``exact`` tells their reports apart
+        checks = []
+        from_form = StatementCheck.from_form.__func__
+
+        def counting(cls, form, upto=14):
+            checks.append(form)
+            return from_form(cls, form, upto)
+
+        monkeypatch.setattr(StatementCheck, "from_form", classmethod(counting))
+        _kept_report.cache_clear()
+        lower = verify_main_theorem(tame((), g=2, chi=3))
+        exact = verify_main_theorem(tame((), chi=3))
+        assert len(lower.series) == len(exact.series) == 17
+        assert replace(lower, exact=True) == exact
+        assert lower.exact is False and exact.exact is True
+        assert len(checks) == 2
+        # an equal-form query built apart is answered from the memo
+        assert verify_main_theorem(tame((), chi=3)) is exact
+        assert verify_main_theorem(tame((), g=2, chi=3)) is lower
+        assert len(checks) == 2
+
+
+class TestAdmissionRecord:
+    """A query that runs in the middle of another one's statement check
+    never leaves its report in the other type's record."""
+
+    def test_reentrant_query_keeps_each_report_with_its_type(self, monkeypatch):
+        victim = FibrationNumericalType.tame_type((3, 3, 4), chi=1)
+        from_form = StatementCheck.from_form.__func__
+        armed, nested = [True], []
+
+        def reentrant(cls, form, upto=14):
+            if armed:  # once; the victim's own check passes straight through
+                armed.clear()
+                nested.append(verify_main_theorem(victim).p12)
+            return from_form(cls, form, upto)
+
+        monkeypatch.setattr(StatementCheck, "from_form", classmethod(reentrant))
+        _kept_report.cache_clear()
+        assert verify_main_theorem(FibrationNumericalType.tame_type((2, 5, 10))).p12 == 2
+        assert nested == [14]
+        assert verify_main_theorem(victim).p12 == 14
+        assert verify_tail(victim, 14, 2) is True
+
+    def test_threads_sharing_the_record_get_their_own_reports(self):
+        types = [
+            t for t in _single_type_requests(305, 400)
+            if t.g == 0 and is_admissible(t).admissible
+        ][:40]
+        expected = [
+            (plurigenus(t, 12).value, plurigenus_form(t).eventually_at_least(14, 2))
+            for t in types
+        ]
+        wrong, done = [], []
+
+        def client(offset):
+            deadline = time.monotonic() + 0.5
+            while time.monotonic() < deadline:
+                for k in range(len(types)):
+                    i = (k + offset) % len(types)
+                    got = verify_main_theorem(types[i])
+                    answer = (got.p12, verify_tail(types[i], 14, 2))
+                    if answer != expected[i]:
+                        wrong.append((i, answer))
+            done.append(offset)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(k * 7,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(done) == [0, 7, 14, 21]
+        assert wrong == []
 
 
 CASE4_SMALL = EnumerationBounds(
@@ -1794,7 +1880,7 @@ def test_malformed_library_input_raises_invalid_input(call):
     from plurigenera import verifier
 
     # as in a fresh process: no type admitted yet
-    verifier._last_admitted[:] = verifier._NOTHING_ADMITTED
+    verifier._last_admitted[0] = verifier._NOTHING_ADMITTED
     with pytest.raises(InvalidInputError):
         call()
 
